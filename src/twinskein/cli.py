@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain failure (validation violations or an
-unresolved evaluation, distinguished by the printed code), 2 I/O or
-parse errors.
+unresolved evaluation, distinguished by the printed code), 2 I/O, parse or
+configuration errors.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .skein import SkeinConfig, evaluate, export_trace
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
+
+
+class ConfigError(Exception):
+    """A flag value the engine refuses (bad depth budget or multiplier)."""
 
 
 @dataclass
@@ -77,11 +81,13 @@ def _skein_config(args) -> SkeinConfig:
         strategy=args.strategy,
         emit_trace=args.trace is not None,
         use_memo=not args.no_memo,
-        parallel=args.parallel,
     )
     if multiplier is not None:
         kwargs["multiplier"] = multiplier
-    return SkeinConfig(**kwargs)
+    try:
+        return SkeinConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def cmd_invariant(args) -> int:
@@ -184,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="diagram file ('-' for stdin)")
     p.add_argument("--multiplier", default=None,
                    help="skein multiplier as polynomial text (default t - t^-1)")
-    p.add_argument("--depth", type=int, default=64, help="depth budget")
+    p.add_argument("--depth", type=int, default=64,
+                   help="depth budget (1 to 256)")
     p.add_argument("--strategy", choices=("descending", "first_eligible"),
                    default="descending")
     p.add_argument("--trace", choices=("json", "dot"), default=None,
@@ -193,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the trace to a file instead of stdout")
     p.add_argument("--no-memo", action="store_true",
                    help="disable memoization")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate skein branches concurrently")
     p.set_defaults(fn=cmd_invariant)
 
     p = sub.add_parser("conway",
@@ -235,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, LaurentError) as exc:
+    except (OSError, LaurentError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DiagramError as exc:

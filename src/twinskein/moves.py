@@ -11,20 +11,16 @@ classical R1/R2/R3 and the endpoint moves for twins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
 from .diagram import (
     Component,
     Diagram,
     DiagramError,
-    LOOP,
     OVER,
     Passage,
     TWIN,
     UNDER,
     connected_blocks,
-    reverse_component,
-    serialize,
 )
 
 R1 = "R1"
@@ -559,23 +555,32 @@ def events_to_json(events: tuple[MoveEvent, ...]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def is_split_simplified(fixed: Diagram) -> bool:
+    """True iff some connected block of an already simplified diagram
+    contains no arc: a loop or loop cluster is detached from the arcs."""
+    labels = {c.label: c for c in fixed.components}
+    return any(
+        not any(labels[lab].is_arc for lab in block)
+        for block in connected_blocks(fixed))
+
+
+def is_unit_simplified(fixed: Diagram) -> bool:
+    """True iff an already simplified diagram is bare arcs: no crossings,
+    no loops."""
+    return not fixed.crossings and not fixed.loops()
+
+
 def is_standard_twin(d: Diagram) -> bool:
     """True iff the twin simplifies to two bare arcs: no crossings, no loops."""
     if d.mode != TWIN:
         raise DiagramError("is_standard_twin requires twin mode")
-    fixed, _ = simplify(d)
-    return not fixed.crossings and not fixed.loops()
+    return is_unit_simplified(simplify(d)[0])
 
 
 def is_split(d: Diagram) -> bool:
     """True iff, after simplification, some connected block contains no arc:
     a loop or loop cluster is detached from the arcs."""
-    fixed, _ = simplify(d)
-    labels = {c.label: c for c in fixed.components}
-    for block in connected_blocks(fixed):
-        if not any(labels[lab].is_arc for lab in block):
-            return True
-    return False
+    return is_split_simplified(simplify(d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -583,11 +588,11 @@ def is_split(d: Diagram) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_arc_labels(d: Diagram) -> list[str]:
-    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
-    if d.mode == TWIN:
-        return ["A", "B"][: len(arcs)]
-    return ["K"][: len(arcs)]
+def _surgery_text(comp: Component) -> list[str]:
+    if comp.surgery is None:
+        return []
+    g, b, a = comp.surgery
+    return [f"({g}, {b}/{a})"]
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:
@@ -598,41 +603,95 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     (components are relabelled canonically so labels carry no information).
     The sign is the parity of loop reversals used; ties prefer fewer
     reversals, then lower rotation offsets, then the earlier loop order.
+
+    The key text is built straight from the passages.  Arcs come first and
+    are numbered the same way under every set of loop reversals, so their
+    text (the prefix) has one length for all of them, and only the
+    reversal sets with the least prefix can win.  Each loop's text ends in
+    its only ``;``, so no loop text is a proper prefix of another and the
+    key compares loop by loop: the search keeps, level by level, every
+    partial choice of (loop, rotation) whose text ties for the least.
     """
-    arc_labels = _canonical_arc_labels(d)
+    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
+    arc_labels = ["A", "B"] if d.mode == TWIN else ["K"]
     loops = [c for c in d.components if c.is_loop]
     n_loops = len(loops)
 
-    best: tuple[str, int, tuple[int, ...], tuple[int, ...]] | None = None
-    best_sign = 1
+    arc_number: dict[int, int] = {}
+    for comp in arcs:
+        for p in comp.passages:
+            arc_number.setdefault(p.crossing, len(arc_number) + 1)
+    # reversing a loop flips the crossings it meets exactly once
+    flips = []
+    for lp in loops:
+        met: dict[int, int] = {}
+        for p in lp.passages:
+            met[p.crossing] = met.get(p.crossing, 0) + 1
+        flips.append([cid for cid, n in met.items() if n == 1])
 
-    for rev_mask in range(1 << n_loops):
-        d_rev = d
+    best_prefix: str | None = None
+    masks: list[tuple[int, int, dict[int, str]]] = []  # (n_rev, mask, marks)
+    for mask in range(1 << n_loops):
+        signs = dict(d.crossings)
         n_rev = 0
         for li in range(n_loops):
-            if rev_mask >> li & 1:
-                d_rev = reverse_component(d_rev, loops[li].label)
+            if mask >> li & 1:
                 n_rev += 1
-        rev_loops = {c.label: c for c in d_rev.components if c.is_loop}
-        rot_ranges = [range(max(1, len(lp.passages))) for lp in loops]
-        for perm in permutations(range(n_loops)):
-            for rots in product(*(rot_ranges[i] for i in perm)):
-                comps: list[Component] = [
-                    Component(c.kind, arc_labels[i], c.passages, c.surgery)
-                    for i, c in enumerate(
-                        sorted((c for c in d_rev.components if c.is_arc),
-                               key=lambda c: c.label))
-                ]
-                for k, (li, rot) in enumerate(zip(perm, rots), start=1):
-                    lp = rev_loops[loops[li].label]
-                    n = len(lp.passages)
-                    seq = lp.passages[rot:] + lp.passages[:rot] if n else ()
-                    comps.append(Component(LOOP, f"T{k:03d}", seq, lp.surgery))
-                cand = Diagram(d.mode, tuple(comps), dict(d_rev.crossings))
-                key = serialize(cand)
-                entry = (key, n_rev, tuple(rots), tuple(perm))
-                if best is None or entry < best:
-                    best = entry
-                    best_sign = -1 if n_rev % 2 else 1
-    assert best is not None
-    return CanonicalForm(best[0], best_sign)
+                for cid in flips[li]:
+                    signs[cid] = -signs[cid]
+        marks = {cid: "+" if s > 0 else "-" for cid, s in signs.items()}
+        parts = [TWIN if d.mode == TWIN else "knot", "{"]
+        for label, comp in zip(arc_labels, arcs):
+            parts.append("arc")
+            parts.append(f"{label}:")
+            parts.extend(f"{p.role}{arc_number[p.crossing]}{marks[p.crossing]}"
+                         for p in comp.passages)
+            parts.extend(_surgery_text(comp))
+            parts.append(";")
+        prefix = " ".join(parts)
+        if best_prefix is None or prefix < best_prefix:
+            best_prefix, masks = prefix, []
+        if prefix == best_prefix:
+            masks.append((n_rev, mask, marks))
+
+    surgeries = [_surgery_text(lp) for lp in loops]
+    # partial candidates: (n_rev, rots, perm, mask, marks, numbering, texts)
+    beam = [(n_rev, (), (), mask, marks, arc_number, [])
+            for n_rev, mask, marks in masks]
+    for level in range(1, n_loops + 1):
+        head = ["loop", f"T{level:03d}:"]
+        best_text: str | None = None
+        grown: list = []
+        for n_rev, rots, perm, mask, marks, number, texts in beam:
+            for li in range(n_loops):
+                if li in perm:
+                    continue
+                seq = loops[li].passages
+                if mask >> li & 1:
+                    seq = seq[::-1]
+                for rot in range(max(1, len(seq))):
+                    new: dict[int, int] = {}
+                    nxt = len(number) + 1
+                    parts = list(head)
+                    for p in seq[rot:] + seq[:rot]:
+                        cid = p.crossing
+                        num = number.get(cid) or new.get(cid)
+                        if num is None:
+                            num = new[cid] = nxt
+                            nxt += 1
+                        parts.append(f"{p.role}{num}{marks[cid]}")
+                    parts.extend(surgeries[li])
+                    parts.append(";")
+                    text = " ".join(parts)
+                    if best_text is None or text < best_text:
+                        best_text, grown = text, []
+                    if text == best_text:
+                        grown.append((n_rev, rots + (rot,), perm + (li,),
+                                      mask, marks,
+                                      {**number, **new} if new else number,
+                                      texts + [text]))
+        beam = grown
+
+    n_rev, _, _, _, _, _, texts = min(beam, key=lambda s: s[:3])
+    key = " ".join([best_prefix, *texts, "}"])
+    return CanonicalForm(key, -1 if n_rev % 2 else 1)

@@ -13,8 +13,6 @@ guessing.
 from __future__ import annotations
 
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagram import (
@@ -26,11 +24,15 @@ from .diagram import (
     DiagramError,
     TWIN,
     classify_crossing,
-    connected_blocks,
     validate,
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
-from .moves import canonicalize, simplify
+from .moves import (
+    canonicalize,
+    is_split_simplified,
+    is_unit_simplified,
+    simplify,
+)
 
 DESCENDING = "descending"
 FIRST_ELIGIBLE = "first_eligible"
@@ -41,8 +43,11 @@ SPLIT = "split"
 MEMO = "memo"
 UNRESOLVED = "unresolved"
 
-#: Depth at which parallel evaluation stops forking branch threads.
-_PARALLEL_FORK_DEPTH = 2
+#: Largest depth budget accepted.  The engine recurses once per level and the
+#: JSON trace export about three times per level (it works to depth 331 when
+#: called from the top of the stack), so this stays inside Python's default
+#: recursion limit of 1000 frames with room for the caller's own frames.
+MAX_DEPTH_BUDGET = 256
 
 
 class UnsupportedRibbonIntersection(DiagramError):
@@ -68,18 +73,19 @@ class SkeinConfig:
     strategy: str = DESCENDING
     emit_trace: bool = False
     use_memo: bool = True
-    parallel: bool = False
 
     def __post_init__(self) -> None:
-        if self.depth_budget < 1:
-            raise ValueError("depth_budget must be at least 1")
+        if not 1 <= self.depth_budget <= MAX_DEPTH_BUDGET:
+            raise ValueError(
+                f"depth_budget must be between 1 and {MAX_DEPTH_BUDGET}, "
+                f"not {self.depth_budget}")
         if self.multiplier.is_zero():
             raise ValueError("multiplier must be nonzero")
         if self.strategy not in (DESCENDING, FIRST_ELIGIBLE):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SkeinStats:
     nodes_expanded: int = 0
     memo_hits: int = 0
@@ -108,7 +114,7 @@ class TraceNode:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SkeinResult:
     value: LaurentPoly | None
     unresolved_reason: str | None
@@ -261,119 +267,79 @@ def _check_surgery_labels(d: Diagram) -> None:
                 f"(0, 0/1) label")
 
 
-def _is_split_fixed(fixed: Diagram) -> bool:
-    labels = {c.label: c for c in fixed.components}
-    return any(
-        not any(labels[lab].is_arc for lab in block)
-        for block in connected_blocks(fixed))
-
-
-def _is_unit_fixed(fixed: Diagram) -> bool:
-    return not fixed.crossings and not fixed.loops()
-
-
 class _Engine:
     def __init__(self, cfg: SkeinConfig):
         self.cfg = cfg
         self.memo: dict[str, LaurentPoly] = {}
         self.stats = SkeinStats()
-        self.lock = threading.Lock() if cfg.parallel else None
-        self.executor = (ThreadPoolExecutor(max_workers=2)
-                         if cfg.parallel else None)
 
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True)
-
-    def _bump(self, depth: int) -> None:
-        if self.lock:
-            with self.lock:
-                self.stats.nodes_expanded += 1
-                self.stats.max_depth = max(self.stats.max_depth, depth)
-        else:
-            self.stats.nodes_expanded += 1
-            self.stats.max_depth = max(self.stats.max_depth, depth)
-
-    def _memo_get(self, key: str) -> LaurentPoly | None:
-        if self.lock:
-            with self.lock:
-                return self.memo.get(key)
-        return self.memo.get(key)
-
-    def _memo_put(self, key: str, value: LaurentPoly) -> None:
-        if self.lock:
-            with self.lock:
-                self.memo.setdefault(key, value)
-        else:
-            self.memo.setdefault(key, value)
+    def _node(self, cf, **fields) -> TraceNode | None:
+        """A trace node for the canonical form ``cf``, or None when no trace
+        was asked for."""
+        if not self.cfg.emit_trace:
+            return None
+        return TraceNode(cf.key, cf.sign, **fields)
 
     def run(self, d: Diagram, depth: int
-            ) -> tuple[LaurentPoly | None, str | None, TraceNode]:
+            ) -> tuple[LaurentPoly | None, str | None, TraceNode | None]:
+        """(value, unresolved reason, trace node); the node is None unless
+        ``emit_trace`` is on.  The canonical key is computed only where the
+        memo or the trace reads it."""
         fixed, _ = simplify(d)
-        self._bump(depth)
-        cf = canonicalize(fixed)
+        stats = self.stats
+        stats.nodes_expanded += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        cfg = self.cfg
 
-        if _is_split_fixed(fixed):
-            zero = LaurentPoly.zero()
-            return zero, None, TraceNode(cf.key, cf.sign, terminal=SPLIT,
-                                         value=zero)
-        if _is_unit_fixed(fixed):
-            tag = STANDARD if fixed.mode == TWIN else UNKNOTTED
-            one = LaurentPoly.one()
-            return one, None, TraceNode(cf.key, cf.sign, terminal=tag,
-                                        value=one)
-        if self.cfg.use_memo:
-            stored = self._memo_get(cf.key)
+        if is_split_simplified(fixed):
+            value, terminal = LaurentPoly.zero(), SPLIT
+        elif is_unit_simplified(fixed):
+            value = LaurentPoly.one()
+            terminal = STANDARD if fixed.mode == TWIN else UNKNOTTED
+        else:
+            terminal = None
+        if terminal is not None:
+            if not cfg.emit_trace:
+                return value, None, None
+            return value, None, self._node(canonicalize(fixed),
+                                           terminal=terminal, value=value)
+
+        cf = canonicalize(fixed) if cfg.use_memo or cfg.emit_trace else None
+        if cfg.use_memo:
+            stored = self.memo.get(cf.key)
             if stored is not None:
-                if self.lock:
-                    with self.lock:
-                        self.stats.memo_hits += 1
-                else:
-                    self.stats.memo_hits += 1
+                stats.memo_hits += 1
                 value = stored if cf.sign > 0 else -stored
-                return value, None, TraceNode(cf.key, cf.sign, terminal=MEMO,
-                                              value=value)
-        if depth >= self.cfg.depth_budget:
-            return None, "depth-budget-exceeded", TraceNode(
-                cf.key, cf.sign, terminal=UNRESOLVED,
-                reason="depth-budget-exceeded")
+                return value, None, self._node(cf, terminal=MEMO, value=value)
+        if depth >= cfg.depth_budget:
+            return None, "depth-budget-exceeded", self._node(
+                cf, terminal=UNRESOLVED, reason="depth-budget-exceeded")
         try:
-            cid = choose_crossing(fixed, self.cfg.strategy)
+            cid = choose_crossing(fixed, cfg.strategy)
         except NoEligibleCrossing as exc:
-            return None, f"no-eligible-crossing: {exc}", TraceNode(
-                cf.key, cf.sign, terminal=UNRESOLVED,
-                reason="no-eligible-crossing")
+            return None, f"no-eligible-crossing: {exc}", self._node(
+                cf, terminal=UNRESOLVED, reason="no-eligible-crossing")
 
         s = fixed.crossings[cid]
         switched = switch_crossing(fixed, cid)
         smoothed = smooth_crossing(fixed, cid)
 
-        if self.executor is not None and depth < _PARALLEL_FORK_DEPTH:
-            fut = self.executor.submit(self.run, switched, depth + 1)
-            v2, r2, n2 = self.run(smoothed, depth + 1)
-            v1, r1, n1 = fut.result()
-        else:
-            v1, r1, n1 = self.run(switched, depth + 1)
-            if r1 is not None:
-                # No value can come out of this node; skip the smooth branch.
-                return None, r1, TraceNode(cf.key, cf.sign, crossing=cid,
-                                           crossing_sign=s,
-                                           children=(("switch", n1),))
-            v2, r2, n2 = self.run(smoothed, depth + 1)
-
+        v1, r1, n1 = self.run(switched, depth + 1)
+        if r1 is not None:
+            # No value can come out of this node; skip the smooth branch.
+            return None, r1, self._node(cf, crossing=cid, crossing_sign=s,
+                                        children=(("switch", n1),))
+        v2, r2, n2 = self.run(smoothed, depth + 1)
         children = (("switch", n1), ("smooth", n2))
-        node = TraceNode(cf.key, cf.sign, crossing=cid, crossing_sign=s,
-                         children=children)
-        if r1 is not None or r2 is not None:
-            return None, r1 if r1 is not None else r2, node
-        assert v1 is not None and v2 is not None
-        contrib = self.cfg.multiplier * v2
+        if r2 is not None:
+            return None, r2, self._node(cf, crossing=cid, crossing_sign=s,
+                                        children=children)
+        contrib = cfg.multiplier * v2
         value = v1 + contrib if s > 0 else v1 - contrib
-        if self.cfg.use_memo:
-            self._memo_put(cf.key, value if cf.sign > 0 else -value)
-        node = TraceNode(cf.key, cf.sign, crossing=cid, crossing_sign=s,
-                         value=value, children=children)
-        return value, None, node
+        if cfg.use_memo:
+            self.memo.setdefault(cf.key, value if cf.sign > 0 else -value)
+        return value, None, self._node(cf, crossing=cid, crossing_sign=s,
+                                       value=value, children=children)
 
 
 def evaluate(d: Diagram, cfg: SkeinConfig | None = None) -> SkeinResult:
@@ -386,11 +352,7 @@ def evaluate(d: Diagram, cfg: SkeinConfig | None = None) -> SkeinResult:
             "invalid diagram: " + "; ".join(v.code for v in report.violations))
     _check_surgery_labels(d)
     engine = _Engine(cfg)
-    try:
-        value, reason, node = engine.run(d, 0)
-    finally:
-        engine.close()
-    trace = node if cfg.emit_trace else None
+    value, reason, trace = engine.run(d, 0)
     return SkeinResult(value, reason, trace, engine.stats, cfg.multiplier)
 
 

@@ -107,11 +107,36 @@ class TestInvariant:
         assert code == 1
         assert "depth-budget-exceeded" in out
 
-    def test_parallel_flag(self, capsys):
-        code, out, _ = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
-                           "--parallel")
-        assert code == 0
-        assert out.strip() == "t^-2 - 1 + t^2"
+    def test_depth_zero_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--depth", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: depth_budget must be between 1 and")
+
+    def test_zero_multiplier_is_a_config_error(self, capsys):
+        code, _, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                           "--multiplier", "0")
+        assert code == 2
+        assert err.startswith("error: multiplier must be nonzero")
+
+    def test_depth_ceiling(self, capsys):
+        # The stalling strategy runs the engine's recursion down to the
+        # ceiling without exhausting the stack; deeper budgets are refused
+        # before any evaluation.
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--strategy", "first_eligible", "--depth", "256")
+        assert code == 1
+        assert "depth-budget-exceeded" in out
+        assert "max_depth=256" in err
+        for depth in ("257", "1000"):
+            code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                                 "--strategy", "first_eligible",
+                                 "--depth", depth)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(
+                "error: depth_budget must be between 1 and 256")
 
 
 class TestConway:

@@ -1,12 +1,28 @@
+from dataclasses import replace
+from itertools import permutations, product
+
 import pytest
 
-from twinskein.diagram import normalize, parse, reverse_component, serialize, validate
+from twinskein.diagram import (
+    DEFAULT_SURGERY,
+    LOOP,
+    TWIN,
+    Component,
+    Diagram,
+    classify_crossing,
+    normalize,
+    parse,
+    reverse_component,
+    serialize,
+    validate,
+)
 from twinskein.moves import (
     MoveError,
     apply_f_move,
     apply_r1,
     apply_r2,
     apply_r3,
+    CanonicalForm,
     apply_welded_commute,
     canonicalize,
     find_r3_moves,
@@ -269,3 +285,70 @@ class TestCanonicalize:
                 # which case the minimizer keeps sign +1 on both sides (and
                 # the invariant of such a configuration is forced to vanish).
                 assert rev.sign == -cf.sign or rev == cf
+
+
+def brute_force_canonicalize(d: Diagram) -> CanonicalForm:
+    """Reference canonical form: every candidate over loop reversal, order
+    and rotation is built as a diagram and serialized in full; the least
+    (key, reversals, rotations, order) wins."""
+    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
+    arc_labels = (["A", "B"] if d.mode == TWIN else ["K"])[: len(arcs)]
+    loops = [c for c in d.components if c.is_loop]
+    best = None
+    for rev_mask in range(1 << len(loops)):
+        d_rev = d
+        for li, lp in enumerate(loops):
+            if rev_mask >> li & 1:
+                d_rev = reverse_component(d_rev, lp.label)
+        n_rev = bin(rev_mask).count("1")
+        rev_arcs = sorted((c for c in d_rev.components if c.is_arc),
+                          key=lambda c: c.label)
+        rev_loops = {c.label: c for c in d_rev.components if c.is_loop}
+        rot_ranges = [range(max(1, len(lp.passages))) for lp in loops]
+        for perm in permutations(range(len(loops))):
+            for rots in product(*(rot_ranges[i] for i in perm)):
+                comps = [Component(c.kind, arc_labels[i], c.passages, c.surgery)
+                         for i, c in enumerate(rev_arcs)]
+                for k, (li, rot) in enumerate(zip(perm, rots), start=1):
+                    lp = rev_loops[loops[li].label]
+                    seq = lp.passages[rot:] + lp.passages[:rot]
+                    comps.append(Component(LOOP, f"T{k:03d}", seq, lp.surgery))
+                key = serialize(Diagram(d.mode, tuple(comps),
+                                        dict(d_rev.crossings)))
+                entry = (key, n_rev, rots, perm)
+                if best is None or entry < best:
+                    best = entry
+    return CanonicalForm(best[0], -1 if best[1] % 2 else 1)
+
+
+class TestCanonicalizeAgainstBruteForce:
+    #: Ties between loops (identical, empty, reversal-symmetric) and surgery
+    #: text, which sorts before a passage token.
+    TIES = [
+        "twin { arc A: O1+ O2+ ; arc B: ; loop S: U1+ ; loop T: U2+ ; }",
+        "twin { arc A: ; arc B: ; loop S: ; loop T: (0, 0/1) ; loop U: ; }",
+        "twin { arc A: O1+ ; arc B: ; loop S: U1+ (0, 0/1) ; loop T: ; }",
+        "twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; }",
+        "twin { arc A: ; arc B: ; loop S: O1+ U2- ; loop T: O2- U1+ ; }",
+        "knot { arc K: O1+ U3+ ; loop T: O3+ U1+ (2, 1/3) ; }",
+        "twin { arc A: O9+ O10- O11+ ; arc B: ; "
+        "loop T: U9+ U10- ; loop S: U11+ O12- U12- ; }",
+    ]
+
+    @pytest.mark.parametrize("text", TIES)
+    def test_ties_and_surgery(self, text):
+        d = parse(text)
+        assert canonicalize(d) == brute_force_canonicalize(d)
+
+    def test_random_diagrams_with_up_to_three_loops(self, rng):
+        kinds = set()
+        surgeries = (None, DEFAULT_SURGERY, (2, 1, 3))
+        for i in range(240):
+            d = random_diagram(rng, max_crossings=5, n_loops=i % 4,
+                               two_arcs=True)
+            d = d.with_components(tuple(
+                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+                for c in d.components))
+            kinds.update(classify_crossing(d, cid) for cid in d.crossings)
+            assert canonicalize(d) == brute_force_canonicalize(d), serialize(d)
+        assert {"loop_self", "loop_loop", "arc_loop"} <= kinds

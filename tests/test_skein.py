@@ -9,6 +9,7 @@ from twinskein.moves import (
     apply_r2,
     apply_r3,
     apply_welded_commute,
+    canonicalize,
     find_commute_moves,
     find_r1_moves,
     find_r2_moves,
@@ -172,6 +173,35 @@ class TestEvaluate:
         assert not r.resolved
         assert r.unresolved_reason == "depth-budget-exceeded"
 
+    def test_canonical_keys_only_where_memo_or_trace_reads_them(
+            self, monkeypatch, rng):
+        import twinskein.skein as skein
+        from twinskein.moves import is_split_simplified, is_unit_simplified
+        seen = []
+
+        def counting(d):
+            seen.append(d)
+            return canonicalize(d)
+
+        monkeypatch.setattr(skein, "canonicalize", counting)
+        diagrams = [parse(SPUN_TREFOIL),
+                    parse("twin { arc A: ; arc B: ; loop T: ; }"),
+                    parse("twin { arc A: O1+ U3+ ; arc B: ; loop T: O3+ U1+ ; }")]
+        diagrams += [random_diagram(rng, max_crossings=4) for _ in range(20)]
+        for d in diagrams:
+            evaluate(d, SkeinConfig(depth_budget=16))
+        assert seen
+        assert not any(is_split_simplified(f) or is_unit_simplified(f)
+                       for f in seen)
+        seen.clear()
+        for d in diagrams:
+            evaluate(d, SkeinConfig(depth_budget=16, use_memo=False))
+        assert seen == []
+        # with a trace every node is keyed, terminals included
+        traced = [evaluate(d, SkeinConfig(emit_trace=True))
+                  for d in diagrams[:2]]
+        assert len(seen) == sum(r.stats.nodes_expanded for r in traced)
+
     def test_determinism(self):
         d = parse(SPUN_TREFOIL)
         r1 = evaluate(d, SkeinConfig(emit_trace=True))
@@ -179,12 +209,6 @@ class TestEvaluate:
         assert r1.value == r2.value
         assert r1.stats == r2.stats
         assert export_trace(r1, "json") == export_trace(r2, "json")
-
-    def test_parallel_matches_serial(self):
-        d = parse(SPUN_TREFOIL)
-        serial = evaluate(d)
-        parallel = evaluate(d, SkeinConfig(parallel=True))
-        assert serial.value == parallel.value
 
 
 def _resolvable(rng, **kwargs):
@@ -284,14 +308,13 @@ class TestProperties:
         # one memo table.
         from twinskein.skein import _Engine
         d = parse("twin { arc A: O1+ U3+ ; arc B: ; loop T: O3+ U1+ ; }")
-        engine = _Engine(SkeinConfig())
+        engine = _Engine(SkeinConfig(emit_trace=True))
         v1, reason1, _ = engine.run(d, 0)
         assert reason1 is None and v1 == SKEIN_MULTIPLIER
         v2, reason2, node2 = engine.run(reverse_component(d, "T"), 0)
         assert reason2 is None and v2 == -SKEIN_MULTIPLIER
         assert node2.terminal == "memo" and node2.sign == -1
         assert engine.stats.memo_hits == 1
-        engine.close()
 
 
 class TestTraceExport:
@@ -334,6 +357,17 @@ class TestTraceExport:
         edge = data["children"][0]
         assert set(edge) == {"edge", "node"}
         assert edge["edge"] in ("switch", "smooth")
+
+    def test_trace_at_the_depth_ceiling_exports(self):
+        from twinskein.skein import MAX_DEPTH_BUDGET
+        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
+        r = evaluate(d, SkeinConfig(depth_budget=MAX_DEPTH_BUDGET,
+                                    emit_trace=True))
+        assert r.stats.max_depth == MAX_DEPTH_BUDGET
+        assert export_trace(r, "json").count('"switch"') == MAX_DEPTH_BUDGET
+        assert export_trace(r, "dot").count("switch") == MAX_DEPTH_BUDGET
+        with pytest.raises(ValueError):
+            SkeinConfig(depth_budget=MAX_DEPTH_BUDGET + 1)
 
     def test_trace_absent_raises(self):
         r = evaluate(parse(SPUN_TREFOIL))
