@@ -20,7 +20,13 @@ from .alexander import (
     link_to_diagram,
 )
 from .constructions import artin_spin, table_knot, table_names
-from .diagram import Diagram, parse, reverse_component, serialize
+from .diagram import (
+    Diagram,
+    parse,
+    random_diagram,
+    reverse_component,
+    serialize,
+)
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .moves import (
     apply_r1,
@@ -203,41 +209,9 @@ def check_fintushel_stern() -> CaseResult:
 # -- randomized property suites (criterion 7) --------------------------------
 
 
-def _random_diagram(rng: random.Random, max_crossings=4, n_loops=None,
-                    mode="twin") -> Diagram:
-    from .diagram import Component, KNOT_ARC, LOOP, Passage, TWIN_ARC
-
-    k = rng.randint(0, max_crossings)
-    if n_loops is None:
-        n_loops = rng.randint(0, 2)
-    passages = []
-    signs = {}
-    for cid in range(1, k + 1):
-        signs[cid] = rng.choice((1, -1))
-        passages.append(Passage(cid, "O"))
-        passages.append(Passage(cid, "U"))
-    rng.shuffle(passages)
-    if mode == "twin":
-        kinds, labels = [TWIN_ARC, TWIN_ARC], ["A", "B"]
-    else:
-        kinds, labels = [KNOT_ARC], ["K"]
-    for i in range(n_loops):
-        kinds.append(LOOP)
-        labels.append(f"T{i + 1}")
-    buckets: list[list] = [[] for _ in kinds]
-    for p in passages:
-        idx = rng.choices(range(len(kinds)),
-                          weights=[4] + [1] * (len(kinds) - 1))[0]
-        buckets[idx].append(p)
-    comps = tuple(Component(kind, label, tuple(bucket))
-                  for kind, label, bucket in zip(kinds, labels, buckets)
-                  if not (kind == LOOP and not bucket))
-    return Diagram(mode, comps, signs)
-
-
 def _resolvable_stream(rng, **kwargs):
     while True:
-        d = _random_diagram(rng, **kwargs)
+        d = random_diagram(rng, max_crossings=4, **kwargs)
         r = evaluate(d, SkeinConfig(depth_budget=24))
         if r.resolved:
             yield d, r
@@ -341,7 +315,7 @@ def _prop_memo(rng) -> int:
 
 def _prop_round_trip(rng) -> int:
     for _ in range(PROPERTY_CASES):
-        d = _random_diagram(rng)
+        d = random_diagram(rng, max_crossings=4)
         text = serialize(d)
         assert serialize(parse(text)) == text, f"round trip fails: {text}"
     return PROPERTY_CASES

@@ -11,8 +11,6 @@ import argparse
 import sys
 import time
 
-from dataclasses import dataclass
-
 from .acceptance import run_all
 from .alexander import alexander_symmetrized, conway
 from .constructions import artin_spin, connect_sum_twin, table_knot, twin_closure
@@ -34,21 +32,6 @@ EXIT_IO = 2
 
 class ConfigError(Exception):
     """A flag value the engine refuses (bad depth budget or multiplier)."""
-
-
-@dataclass
-class RunReport:
-    """What one command run did: outcome plus engine statistics."""
-
-    command: str
-    input_path: str
-    outcome: str
-    stats: str
-    elapsed_ms: float
-
-    def print_stats(self) -> None:
-        print(f"stats: {self.stats} elapsed_ms={self.elapsed_ms:.1f}",
-              file=sys.stderr)
 
 
 def _read_input(path: str) -> str:
@@ -96,17 +79,12 @@ def cmd_invariant(args) -> int:
     t0 = time.perf_counter()
     result = evaluate(d, cfg)
     elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport(
-        command="invariant",
-        input_path=args.path,
-        outcome=(result.value.render() if result.resolved
-                 else f"unresolved: {result.unresolved_reason}"),
-        stats=f"nodes={result.stats.nodes_expanded} "
-              f"memo_hits={result.stats.memo_hits} "
-              f"max_depth={result.stats.max_depth}",
-        elapsed_ms=elapsed)
-    report.print_stats()
-    print(report.outcome)
+    stats = result.stats
+    print(f"stats: nodes={stats.nodes_expanded} memo_hits={stats.memo_hits} "
+          f"max_depth={stats.max_depth} elapsed_ms={elapsed:.1f}",
+          file=sys.stderr)
+    print(result.value.render() if result.resolved
+          else f"unresolved: {result.unresolved_reason}")
     if not result.resolved:
         return EXIT_DOMAIN
     if args.trace is not None:

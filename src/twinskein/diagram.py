@@ -19,6 +19,7 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field, replace
 
 OVER = "O"
@@ -521,3 +522,52 @@ def connected_blocks(d: Diagram) -> tuple[tuple[str, ...], ...]:
     for i, comp in enumerate(d.components):
         blocks.setdefault(find(i), []).append(comp.label)
     return tuple(tuple(blocks[root]) for root in sorted(blocks))
+
+
+# ---------------------------------------------------------------------------
+# random diagrams
+# ---------------------------------------------------------------------------
+
+
+def random_diagram(rng: random.Random, max_crossings: int = 5,
+                   mode: str = TWIN, n_loops: int | None = None,
+                   two_arcs: bool = False) -> Diagram:
+    """A random valid diagram: both passages of each crossing are thrown
+    into random slots of random components.  Every such code is a valid
+    welded diagram, since all Gauss codes are virtually realizable.
+
+    Passages favour the first arc four to one over each other component,
+    so loops stay light; with ``two_arcs`` (twin mode only) every component
+    is equally likely.  Loops left empty are dropped, so splitness is not
+    built in."""
+    k = rng.randint(0, max_crossings)
+    if n_loops is None:
+        n_loops = rng.randint(0, 2)
+    passages = []
+    signs = {}
+    for cid in range(1, k + 1):
+        signs[cid] = rng.choice((1, -1))
+        passages.append(Passage(cid, OVER))
+        passages.append(Passage(cid, UNDER))
+    rng.shuffle(passages)
+
+    if mode == TWIN:
+        kinds, labels = [TWIN_ARC, TWIN_ARC], ["A", "B"]
+    else:
+        kinds, labels = [KNOT_ARC], ["K"]
+    for i in range(n_loops):
+        kinds.append(LOOP)
+        labels.append(f"T{i + 1}")
+
+    buckets: list[list[Passage]] = [[] for _ in kinds]
+    for p in passages:
+        if two_arcs and mode == TWIN:
+            buckets[rng.randrange(len(kinds))].append(p)
+        else:
+            idx = rng.choices(range(len(kinds)),
+                              weights=[4] + [1] * (len(kinds) - 1))[0]
+            buckets[idx].append(p)
+    comps = tuple(Component(kind, label, tuple(bucket))
+                  for kind, label, bucket in zip(kinds, labels, buckets)
+                  if bucket or kind != LOOP)
+    return Diagram(mode, comps, signs)

@@ -10,6 +10,7 @@ classical R1/R2/R3 and the endpoint moves for twins.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .diagram import (
@@ -19,6 +20,7 @@ from .diagram import (
     OVER,
     Passage,
     TWIN,
+    TWIN_ARC,
     UNDER,
     connected_blocks,
 )
@@ -77,6 +79,14 @@ def _adjacent_pairs(comp: Component) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(n - 1)]
 
 
+def _pair_at(comp: Component, i: int) -> tuple[int, int]:
+    """The adjacent pair of positions starting at ``i`` (wrapping on loops)."""
+    n = len(comp.passages)
+    if not 0 <= i < (n if comp.is_loop and n > 1 else n - 1):
+        raise MoveError(f"no adjacent pair at {comp.label}[{i}]")
+    return i, (i + 1) % n
+
+
 def _other_slot(d: Diagram, crossing: int, not_slot: tuple[int, int]) -> tuple[int, int]:
     slots = d.passage_slots(crossing)
     for s in slots:
@@ -125,12 +135,8 @@ def apply_r1(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Remove a kink: the two passages of one crossing sit adjacently on one
     component (consecutively, wrapping for loops)."""
     label, i = at
-    ci = d.component_index(label)
-    comp = d.components[ci]
-    pairs = [(a, b) for a, b in _adjacent_pairs(comp) if a == i]
-    if not pairs:
-        raise MoveError(f"no adjacent pair at {label}[{i}]")
-    a, b = pairs[0]
+    comp = d.component(label)
+    a, b = _pair_at(comp, i)
     pa, pb = comp.passages[a], comp.passages[b]
     if pa.crossing != pb.crossing:
         raise MoveError(
@@ -144,10 +150,7 @@ def apply_r2(d: Diagram, at: tuple[str, int]) -> Diagram:
     label, i = at
     ci = d.component_index(label)
     comp = d.components[ci]
-    pairs = [(a, b) for a, b in _adjacent_pairs(comp) if a == i]
-    if not pairs:
-        raise MoveError(f"no adjacent pair at {label}[{i}]")
-    a, b = pairs[0]
+    a, b = _pair_at(comp, i)
     pa, pb = comp.passages[a], comp.passages[b]
     x, y = pa.crossing, pb.crossing
     if x == y or pa.role != pb.role:
@@ -171,10 +174,7 @@ def apply_welded_commute(d: Diagram, at: tuple[str, int]) -> Diagram:
     label, i = at
     ci = d.component_index(label)
     comp = d.components[ci]
-    pairs = [(a, b) for a, b in _adjacent_pairs(comp) if a == i]
-    if not pairs:
-        raise MoveError(f"no adjacent pair at {label}[{i}]")
-    a, b = pairs[0]
+    a, b = _pair_at(comp, i)
     if comp.passages[a].role != OVER or comp.passages[b].role != OVER:
         raise MoveError("only adjacent over-passages commute")
     return _swap(d, ci, a, b)
@@ -219,10 +219,7 @@ def apply_r3(d: Diagram, at: tuple[str, int]) -> Diagram:
     label, i = at
     ci = d.component_index(label)
     comp = d.components[ci]
-    pairs = [(a, b) for a, b in _adjacent_pairs(comp) if a == i]
-    if not pairs:
-        raise MoveError(f"no adjacent pair at {label}[{i}]")
-    a, b = pairs[0]
+    a, b = _pair_at(comp, i)
     pa, pb = comp.passages[a], comp.passages[b]
     x, y, rho = pa.crossing, pb.crossing, pa.role
     if x == y or pb.role != rho:
@@ -277,16 +274,21 @@ def find_r1_moves(d: Diagram) -> list[tuple[str, int]]:
     return out
 
 
-def find_r2_moves(d: Diagram) -> list[tuple[str, int]]:
-    out = []
+def _applied(d: Diagram, move: Callable[[Diagram, tuple[str, int]], Diagram]
+             ) -> Iterator[tuple[Component, int, int, Diagram]]:
+    """(component, a, b, result) for each adjacent pair (a, b) at which
+    ``move`` applies, in scan order, trying each pair only when asked."""
     for comp in d.components:
         for a, b in _adjacent_pairs(comp):
             try:
-                apply_r2(d, (comp.label, a))
+                out = move(d, (comp.label, a))
             except MoveError:
                 continue
-            out.append((comp.label, a))
-    return out
+            yield comp, a, b, out
+
+
+def find_r2_moves(d: Diagram) -> list[tuple[str, int]]:
+    return [(comp.label, a) for comp, a, _, _ in _applied(d, apply_r2)]
 
 
 def find_commute_moves(d: Diagram) -> list[tuple[str, int]]:
@@ -299,28 +301,20 @@ def find_commute_moves(d: Diagram) -> list[tuple[str, int]]:
 
 
 def find_f_moves(d: Diagram) -> list[int]:
+    """Crossings of a valid diagram that ``apply_f_move`` removes: those
+    whose passages are the first of both twin arcs (at the positive marker)
+    or the last of both (at the negative one)."""
     if d.mode != TWIN:
         return []
-    out = []
-    for cid in sorted(d.crossings):
-        try:
-            apply_f_move(d, cid)
-        except MoveError:
-            continue
-        out.append(cid)
-    return out
+    a, b = (c.passages for c in d.components if c.kind == TWIN_ARC)
+    if not (a and b):
+        return []
+    return sorted({p.crossing for p, q in ((a[0], b[0]), (a[-1], b[-1]))
+                   if p.crossing == q.crossing})
 
 
 def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
-    out = []
-    for comp in d.components:
-        for a, b in _adjacent_pairs(comp):
-            try:
-                apply_r3(d, (comp.label, a))
-            except MoveError:
-                continue
-            out.append((comp.label, a))
-    return out
+    return [(comp.label, a) for comp, a, _, _ in _applied(d, apply_r3)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +322,24 @@ def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _find_reduction(d: Diagram) -> tuple[str, object] | None:
-    """First enabled crossing-removing move, scanning R1 then R2 then F."""
-    moves = find_r1_moves(d)
-    if moves:
-        return (R1, moves[0])
-    moves = find_r2_moves(d)
-    if moves:
-        return (R2, moves[0])
+def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
+    """Apply the first enabled crossing-removing move, scanning R1 then R2
+    then F; None when no such move is enabled."""
+    r1 = find_r1_moves(d)
+    if r1:
+        label, i = r1[0]
+        cid = d.component(label).passages[i].crossing
+        return apply_r1(d, r1[0]), MoveEvent(R1, (cid,), r1[0])
+    for comp, a, b, out in _applied(d, apply_r2):
+        cids = (comp.passages[a].crossing, comp.passages[b].crossing)
+        return out, MoveEvent(R2, cids, (comp.label, a))
     fmoves = find_f_moves(d)
     if fmoves:
-        return (F_MOVE, fmoves[0])
+        cid = fmoves[0]
+        ci, pos = d.passage_slots(cid)[0]
+        return (apply_f_move(d, cid),
+                MoveEvent(F_MOVE, (cid,), (d.components[ci].label, pos)))
     return None
-
-
-def _apply_reduction(d: Diagram, red: tuple[str, object]) -> tuple[Diagram, MoveEvent]:
-    kind, arg = red
-    if kind == R1:
-        label, i = arg  # type: ignore[misc]
-        cid = d.component(label).passages[i].crossing
-        return apply_r1(d, (label, i)), MoveEvent(R1, (cid,), (label, i))
-    if kind == R2:
-        label, i = arg  # type: ignore[misc]
-        comp = d.component(label)
-        pair = [(a, b) for a, b in _adjacent_pairs(comp) if a == i][0]
-        cids = (comp.passages[pair[0]].crossing, comp.passages[pair[1]].crossing)
-        return apply_r2(d, (label, i)), MoveEvent(R2, cids, (label, i))
-    cid = arg  # type: ignore[assignment]
-    slot = d.passage_slots(cid)[0]
-    label = d.components[slot[0]].label
-    return apply_f_move(d, cid), MoveEvent(F_MOVE, (cid,), (label, slot[1]))
 
 
 def _over_runs(comp: Component) -> list[list[int]]:
@@ -460,7 +442,7 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             return plan
 
     # bigons: adjacent under-pair, opposite signs, over-partners in one run
-    for comp in d.components:
+    for ci, comp in enumerate(d.components):
         for a, b in _adjacent_pairs(comp):
             pa, pb = comp.passages[a], comp.passages[b]
             if pa.role != UNDER or pb.role != UNDER:
@@ -468,8 +450,8 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             f, s = pa.crossing, pb.crossing
             if f == s or d.crossings[f] == d.crossings[s]:
                 continue
-            of_ci, of_p = _other_slot(d, f, (d.component_index(comp.label), a))
-            os_ci, os_p = _other_slot(d, s, (d.component_index(comp.label), b))
+            of_ci, of_p = _other_slot(d, f, (ci, a))
+            os_ci, os_p = _other_slot(d, s, (ci, b))
             if of_ci != os_ci:
                 continue
             ocomp = d.components[of_ci]
@@ -524,24 +506,21 @@ def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
     """
     events: list[MoveEvent] = []
     while True:
-        red = _find_reduction(d)
-        if red is not None:
-            d, ev = _apply_reduction(d, red)
-            events.append(ev)
-            continue
-        path = _commute_search(d)
-        if path is None:
-            break
-        for pos in path:
-            comp = d.component(pos[0])
-            a, b = [(a, b) for a, b in _adjacent_pairs(comp) if a == pos[1]][0]
-            cids = (comp.passages[a].crossing, comp.passages[b].crossing)
-            d = apply_welded_commute(d, pos)
-            events.append(MoveEvent(WELDED_COMMUTE, cids, pos))
-        red = _find_reduction(d)
-        if red is None:  # pragma: no cover - search promised a reduction
-            break
-        d, ev = _apply_reduction(d, red)
+        red = _reduce(d)
+        if red is None:
+            path = _commute_search(d)
+            if path is None:
+                break
+            for pos in path:
+                comp = d.component(pos[0])
+                a, b = _pair_at(comp, pos[1])
+                cids = (comp.passages[a].crossing, comp.passages[b].crossing)
+                d = apply_welded_commute(d, pos)
+                events.append(MoveEvent(WELDED_COMMUTE, cids, pos))
+            red = _reduce(d)
+            if red is None:  # pragma: no cover - search promised a reduction
+                break
+        d, ev = red
         events.append(ev)
     return d, tuple(events)
 

@@ -321,15 +321,12 @@ class _Engine:
                 cf, terminal=UNRESOLVED, reason="no-eligible-crossing")
 
         s = fixed.crossings[cid]
-        switched = switch_crossing(fixed, cid)
-        smoothed = smooth_crossing(fixed, cid)
-
-        v1, r1, n1 = self.run(switched, depth + 1)
+        v1, r1, n1 = self.run(switch_crossing(fixed, cid), depth + 1)
         if r1 is not None:
             # No value can come out of this node; skip the smooth branch.
             return None, r1, self._node(cf, crossing=cid, crossing_sign=s,
                                         children=(("switch", n1),))
-        v2, r2, n2 = self.run(smoothed, depth + 1)
+        v2, r2, n2 = self.run(smooth_crossing(fixed, cid), depth + 1)
         children = (("switch", n1), ("smooth", n2))
         if r2 is not None:
             return None, r2, self._node(cf, crossing=cid, crossing_sign=s,

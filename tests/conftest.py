@@ -1,62 +1,8 @@
-"""Shared generators for randomized diagram tests."""
+"""Shared seeded random source for randomized diagram tests."""
 
 import random
 
 import pytest
-
-from twinskein.diagram import (
-    Component,
-    Diagram,
-    KNOT_ARC,
-    LOOP,
-    Passage,
-    TWIN,
-    TWIN_ARC,
-)
-
-
-def random_diagram(rng: random.Random, max_crossings: int = 5,
-                   mode: str = TWIN, n_loops: int | None = None,
-                   two_arcs: bool = False) -> Diagram:
-    """A random valid diagram: both passages of each crossing are thrown
-    into random slots of random components.  Every such code is a valid
-    welded diagram, since all Gauss codes are virtually realizable."""
-    k = rng.randint(0, max_crossings)
-    if n_loops is None:
-        n_loops = rng.randint(0, 2)
-    passages = []
-    signs = {}
-    for cid in range(1, k + 1):
-        signs[cid] = rng.choice((1, -1))
-        passages.append(Passage(cid, "O"))
-        passages.append(Passage(cid, "U"))
-    rng.shuffle(passages)
-
-    if mode == TWIN:
-        holders = [TWIN_ARC, TWIN_ARC]
-        labels = ["A", "B"]
-    else:
-        holders = [KNOT_ARC]
-        labels = ["K"]
-    for i in range(n_loops):
-        holders.append(LOOP)
-        labels.append(f"T{i + 1}")
-
-    buckets: list[list[Passage]] = [[] for _ in holders]
-    for p in passages:
-        if two_arcs and mode == TWIN:
-            buckets[rng.randrange(len(holders))].append(p)
-        else:
-            # bias toward the first arc so loops stay light
-            idx = rng.choices(range(len(holders)),
-                              weights=[4] + [1] * (len(holders) - 1))[0]
-            buckets[idx].append(p)
-    comps = []
-    for kind, label, bucket in zip(holders, labels, buckets):
-        if kind == LOOP and not bucket:
-            continue  # drop empty loops so splitness is not baked in
-        comps.append(Component(kind, label, tuple(bucket)))
-    return Diagram(mode, tuple(comps), signs)
 
 
 @pytest.fixture

@@ -8,12 +8,16 @@ from twinskein.constructions import (
     table_names,
     twin_closure,
 )
-from twinskein.diagram import DiagramError, parse, serialize, validate
+from twinskein.diagram import (
+    DiagramError,
+    parse,
+    random_diagram,
+    serialize,
+    validate,
+)
 from twinskein.laurent import LaurentPoly
 from twinskein.moves import is_standard_twin
 from twinskein.skein import evaluate
-
-from conftest import random_diagram
 
 SPUN_TREFOIL_VALUE = LaurentPoly({-2: 1, 0: -1, 2: 1})
 

@@ -17,13 +17,12 @@ from twinskein.diagram import (
     connected_blocks,
     normalize,
     parse,
+    random_diagram,
     reverse_component,
     serialize,
     to_json,
     validate,
 )
-
-from conftest import random_diagram
 
 STD = "twin { arc A: ; arc B: ; }"
 

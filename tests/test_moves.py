@@ -7,17 +7,26 @@ from twinskein.diagram import (
     DEFAULT_SURGERY,
     LOOP,
     TWIN,
+    TWO_KNOT,
     Component,
     Diagram,
     classify_crossing,
     normalize,
     parse,
+    random_diagram,
     reverse_component,
     serialize,
     validate,
 )
 from twinskein.moves import (
+    F_MOVE,
+    R1,
+    R2,
+    WELDED_COMMUTE,
     MoveError,
+    MoveEvent,
+    _adjacent_pairs,
+    _commute_search,
     apply_f_move,
     apply_r1,
     apply_r2,
@@ -25,13 +34,14 @@ from twinskein.moves import (
     CanonicalForm,
     apply_welded_commute,
     canonicalize,
+    find_f_moves,
+    find_r1_moves,
+    find_r2_moves,
     find_r3_moves,
     is_split,
     is_standard_twin,
     simplify,
 )
-
-from conftest import random_diagram
 
 STD = "twin { arc A: ; arc B: ; }"
 
@@ -131,6 +141,28 @@ class TestFMove:
         assert 1 not in out.crossings
 
 
+class TestPairPositions:
+    """A move pointed at a position with no following passage is refused:
+    an arc's last position, a negative one, a one-passage loop.  Each
+    diagram would pass the move's own check if the position wrapped."""
+
+    CASES = [
+        (apply_r1, "twin { arc A: O1+ O2+ U2+ U1+ ; arc B: U4+ ; loop T: O4+ ; }"),
+        (apply_r2, "twin { arc A: O1+ U3+ O3+ O2- ; arc B: U1+ U2- U4+ ; "
+                   "loop T: O4+ ; }"),
+        (apply_welded_commute,
+         "twin { arc A: O1+ U2+ O3+ ; arc B: U1+ O2+ U3+ U4+ ; loop T: O4+ ; }"),
+    ]
+
+    @pytest.mark.parametrize("move, text", CASES)
+    def test_no_pair_past_the_end(self, move, text):
+        d = parse(text)
+        last = len(d.component("A").passages) - 1
+        for at in (("A", last), ("A", -1), ("T", 0)):
+            with pytest.raises(MoveError):
+                move(d, at)
+
+
 class TestR3:
     def test_braid_relation_instance(self):
         # closure of s1 s2 s1 with padding; slide preserves validity
@@ -205,6 +237,107 @@ class TestSimplify:
             fixed, events = simplify(d)
             assert events == ()
             assert fixed.crossing_count() == d.crossing_count()
+
+
+def reference_f_moves(d: Diagram) -> list[int]:
+    """Every crossing at which apply_f_move succeeds, found by trial."""
+    out = []
+    for cid in sorted(d.crossings):
+        try:
+            apply_f_move(d, cid)
+        except MoveError:
+            continue
+        out.append(cid)
+    return out
+
+
+def reference_simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
+    """simplify as a list-then-apply loop: list every enabled R1, R2 and F
+    move, keep the first, and work out its crossings again to apply it."""
+
+    def find_reduction(d):
+        for kind, moves in ((R1, find_r1_moves(d)), (R2, find_r2_moves(d)),
+                            (F_MOVE, reference_f_moves(d))):
+            if moves:
+                return kind, moves[0]
+        return None
+
+    def apply_reduction(d, kind, arg):
+        if kind == F_MOVE:
+            ci, pos = d.passage_slots(arg)[0]
+            return (apply_f_move(d, arg),
+                    MoveEvent(F_MOVE, (arg,), (d.components[ci].label, pos)))
+        label, i = arg
+        comp = d.component(label)
+        a, b = [(a, b) for a, b in _adjacent_pairs(comp) if a == i][0]
+        if kind == R1:
+            return apply_r1(d, arg), MoveEvent(R1, (comp.passages[a].crossing,), arg)
+        cids = (comp.passages[a].crossing, comp.passages[b].crossing)
+        return apply_r2(d, arg), MoveEvent(R2, cids, arg)
+
+    events = []
+    while True:
+        red = find_reduction(d)
+        if red is not None:
+            d, ev = apply_reduction(d, *red)
+            events.append(ev)
+            continue
+        path = _commute_search(d)
+        if path is None:
+            break
+        for pos in path:
+            comp = d.component(pos[0])
+            a, b = [(a, b) for a, b in _adjacent_pairs(comp) if a == pos[1]][0]
+            cids = (comp.passages[a].crossing, comp.passages[b].crossing)
+            d = apply_welded_commute(d, pos)
+            events.append(MoveEvent(WELDED_COMMUTE, cids, pos))
+        d, ev = apply_reduction(d, *find_reduction(d))
+        events.append(ev)
+    return d, tuple(events)
+
+
+def _fixtures() -> list[Diagram]:
+    from importlib import resources
+    folder = resources.files("twinskein") / "fixtures"
+    return [parse((folder / name).read_text())
+            for name in ("tw_std.twin", "tw_split.twin", "tw_giller.twin",
+                         "tw_unknot_pair.twin", "giller_ex.knot")]
+
+
+class TestSimplifyAgainstReference:
+    def test_random_twins_and_two_knots(self, rng):
+        kinds = set()
+        for i in range(300):
+            d = random_diagram(rng, max_crossings=6,
+                               mode=TWO_KNOT if i % 4 == 3 else TWIN,
+                               n_loops=i % 3, two_arcs=i % 2 == 1)
+            fixed, events = simplify(d)
+            assert (fixed, events) == reference_simplify(d), serialize(d)
+            kinds.update(e.move_kind for e in events)
+        assert kinds == {R1, R2, F_MOVE, WELDED_COMMUTE}
+
+    def test_fixtures(self):
+        for d in _fixtures():
+            assert simplify(d) == reference_simplify(d)
+
+
+class TestFindFMoves:
+    def test_fixtures(self):
+        for d in _fixtures():
+            assert find_f_moves(d) == reference_f_moves(d)
+
+    def test_random_twins(self, rng):
+        found = 0
+        for i in range(300):
+            d = random_diagram(rng, max_crossings=5, n_loops=i % 3,
+                               two_arcs=True)
+            assert find_f_moves(d) == reference_f_moves(d), serialize(d)
+            found += len(find_f_moves(d))
+        assert found
+
+    def test_one_passage_arc_meets_both_markers_once(self):
+        d = parse("twin { arc A: O1+ ; arc B: U1+ ; }")
+        assert find_f_moves(d) == reference_f_moves(d) == [1]
 
 
 class TestAuditTrail:

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from twinskein.diagram import DiagramError, parse, reverse_component
+from twinskein.diagram import (
+    DiagramError,
+    parse,
+    random_diagram,
+    reverse_component,
+)
 from twinskein.laurent import LaurentPoly, SKEIN_MULTIPLIER
 from twinskein.moves import (
     apply_r1,
@@ -27,8 +32,6 @@ from twinskein.skein import (
     smooth_crossing,
     switch_crossing,
 )
-
-from conftest import random_diagram
 
 SPUN_TREFOIL_VALUE = LaurentPoly({-2: 1, 0: -1, 2: 1})
 SPUN_TREFOIL = "twin { arc A: O1+ U2+ O3+ U1+ O2+ U3+ ; arc B: ; }"
@@ -201,6 +204,27 @@ class TestEvaluate:
         traced = [evaluate(d, SkeinConfig(emit_trace=True))
                   for d in diagrams[:2]]
         assert len(seen) == sum(r.stats.nodes_expanded for r in traced)
+
+    def test_smooth_only_after_the_switch_branch_resolves(self, monkeypatch):
+        import twinskein.skein as skein
+        from importlib import resources
+        calls = {"choose": 0, "smooth": 0}
+
+        def counting_choose(d, strategy):
+            calls["choose"] += 1
+            return choose_crossing(d, strategy)
+
+        def counting_smooth(d, cid):
+            calls["smooth"] += 1
+            return smooth_crossing(d, cid)
+
+        monkeypatch.setattr(skein, "choose_crossing", counting_choose)
+        monkeypatch.setattr(skein, "smooth_crossing", counting_smooth)
+        text = (resources.files("twinskein") / "fixtures" / "tw_giller.twin") \
+            .read_text()
+        r = evaluate(parse(text), SkeinConfig(strategy="first_eligible"))
+        assert r.unresolved_reason == "depth-budget-exceeded"
+        assert calls["smooth"] < calls["choose"]
 
     def test_determinism(self):
         d = parse(SPUN_TREFOIL)
