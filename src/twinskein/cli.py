@@ -31,7 +31,8 @@ EXIT_IO = 2
 
 
 class ConfigError(Exception):
-    """A flag value the engine refuses (bad depth budget or multiplier)."""
+    """A flag value the engine refuses (bad depth budget or multiplier), or
+    a flag that needs another one."""
 
 
 def _read_input(path: str) -> str:
@@ -57,6 +58,8 @@ def cmd_validate(args) -> int:
 
 
 def _skein_config(args) -> SkeinConfig:
+    if args.trace_out is not None and args.trace is None:
+        raise ConfigError("--trace-out needs --trace json or --trace dot")
     multiplier = (LaurentPoly.parse(args.multiplier)
                   if args.multiplier is not None else None)
     kwargs = dict(
@@ -218,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, LaurentError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, LaurentError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DiagramError as exc:

@@ -109,14 +109,20 @@ class Diagram:
                 return i
         raise DiagramError(f"no component labelled {label!r}")
 
+    def slot_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Crossing id -> its (component index, position) slots in scan
+        order; crossings without passages are absent.  Built on first use
+        and shared by every later call on this diagram: read it, never
+        mutate it.  It depends only on ``components``, which never change,
+        so it cannot go stale."""
+        index = self.__dict__.get("_slot_index")
+        if index is None:
+            index = self.__dict__["_slot_index"] = _build_slot_index(self)
+        return index
+
     def passage_slots(self, crossing: int) -> list[tuple[int, int]]:
         """All (component index, position) slots holding a passage of `crossing`."""
-        slots = []
-        for ci, comp in enumerate(self.components):
-            for pi, p in enumerate(comp.passages):
-                if p.crossing == crossing:
-                    slots.append((ci, pi))
-        return slots
+        return list(self.slot_index().get(crossing, ()))
 
     def crossing_count(self) -> int:
         return len(self.crossings)
@@ -129,6 +135,14 @@ class Diagram:
 
     def with_components(self, components: tuple[Component, ...]) -> "Diagram":
         return replace(self, components=components)
+
+
+def _build_slot_index(d: Diagram) -> dict[int, tuple[tuple[int, int], ...]]:
+    slots: dict[int, list[tuple[int, int]]] = {}
+    for ci, comp in enumerate(d.components):
+        for pi, p in enumerate(comp.passages):
+            slots.setdefault(p.crossing, []).append((ci, pi))
+    return {cid: tuple(s) for cid, s in slots.items()}
 
 
 @dataclass(frozen=True)
@@ -445,12 +459,12 @@ LOOP_LOOP = "loop_loop"
 
 def classify_crossing(d: Diagram, crossing: int) -> str:
     """Category of a crossing by the component kinds of its two passages."""
-    slots = d.passage_slots(crossing)
+    slots = d.slot_index().get(crossing, ())
     if crossing not in d.crossings or len(slots) != 2:
         raise DiagramError(f"unknown crossing id {crossing}")
     (ci1, _), (ci2, _) = slots
     c1, c2 = d.components[ci1], d.components[ci2]
-    arcs = sum(1 for c in (c1, c2) if c.is_arc)
+    arcs = c1.is_arc + c2.is_arc
     if arcs == 2:
         return ARC_SELF if ci1 == ci2 else ARC_ARC
     if arcs == 1:
@@ -513,8 +527,9 @@ def connected_blocks(d: Diagram) -> tuple[tuple[str, ...], ...]:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
+    index = d.slot_index()
     for cid in d.crossings:
-        slots = d.passage_slots(cid)
+        slots = index.get(cid, ())
         if len(slots) == 2:
             union(slots[0][0], slots[1][0])
 

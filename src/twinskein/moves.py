@@ -10,7 +10,8 @@ classical R1/R2/R3 and the endpoint moves for twins.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagram import (
@@ -70,13 +71,17 @@ class CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_pairs(comp: Component) -> list[tuple[int, int]]:
-    n = len(comp.passages)
-    if comp.is_loop:
+def _adjacent_pairs(comp: Component) -> tuple[tuple[int, int], ...]:
+    return _pairs(len(comp.passages), comp.is_loop)
+
+
+@functools.cache  # one entry per component length and kind met
+def _pairs(n: int, loop: bool) -> tuple[tuple[int, int], ...]:
+    if loop:
         if n < 2:
-            return []
-        return [(i, (i + 1) % n) for i in range(n)]
-    return [(i, i + 1) for i in range(n - 1)]
+            return ()
+        return tuple((i, (i + 1) % n) for i in range(n))
+    return tuple((i, i + 1) for i in range(n - 1))
 
 
 def _pair_at(comp: Component, i: int) -> tuple[int, int]:
@@ -88,8 +93,7 @@ def _pair_at(comp: Component, i: int) -> tuple[int, int]:
 
 
 def _other_slot(d: Diagram, crossing: int, not_slot: tuple[int, int]) -> tuple[int, int]:
-    slots = d.passage_slots(crossing)
-    for s in slots:
+    for s in d.slot_index().get(crossing, ()):
         if s != not_slot:
             return s
     raise DiagramError(f"crossing {crossing} has no second passage")
@@ -144,6 +148,24 @@ def apply_r1(d: Diagram, at: tuple[str, int]) -> Diagram:
     return _drop_crossings(d, {pa.crossing})
 
 
+def _r2_refusal(d: Diagram, ci: int, a: int, b: int) -> str | None:
+    """Why no bigon cancels at the adjacent pair (a, b) of component ``ci``;
+    None when one does."""
+    pa, pb = d.components[ci].passages[a], d.components[ci].passages[b]
+    x, y = pa.crossing, pb.crossing
+    if x == y or pa.role != pb.role:
+        return "pointed passages must share a role on distinct crossings"
+    if d.crossings[x] == d.crossings[y]:
+        return "the two crossings must have opposite signs"
+    sx = _other_slot(d, x, (ci, a))
+    sy = _other_slot(d, y, (ci, b))
+    if sx[0] != sy[0]:
+        return "partner passages lie on different components"
+    if _neighbor(d.components[sx[0]], sy[1], +1) != sx[1]:
+        return "partner passages are not adjacent in reversed order"
+    return None
+
+
 def apply_r2(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Cancel a bigon: adjacent same-role passages of two opposite-sign
     crossings whose partner passages are adjacent in reversed order."""
@@ -151,21 +173,11 @@ def apply_r2(d: Diagram, at: tuple[str, int]) -> Diagram:
     ci = d.component_index(label)
     comp = d.components[ci]
     a, b = _pair_at(comp, i)
-    pa, pb = comp.passages[a], comp.passages[b]
-    x, y = pa.crossing, pb.crossing
-    if x == y or pa.role != pb.role:
-        raise MoveError("pointed passages must share a role on distinct crossings")
-    if d.crossings[x] == d.crossings[y]:
-        raise MoveError("the two crossings must have opposite signs")
-    sx = _other_slot(d, x, (ci, a))
-    sy = _other_slot(d, y, (ci, b))
-    if sx[0] != sy[0]:
-        raise MoveError("partner passages lie on different components")
-    pcomp = d.components[sx[0]]
-    nxt = _neighbor(pcomp, sy[1], +1)
-    if nxt != sx[1]:
-        raise MoveError("partner passages are not adjacent in reversed order")
-    return _drop_crossings(d, {x, y})
+    refusal = _r2_refusal(d, ci, a, b)
+    if refusal is not None:
+        raise MoveError(refusal)
+    return _drop_crossings(d, {comp.passages[a].crossing,
+                               comp.passages[b].crossing})
 
 
 def apply_welded_commute(d: Diagram, at: tuple[str, int]) -> Diagram:
@@ -185,7 +197,7 @@ def apply_f_move(d: Diagram, crossing: int) -> Diagram:
     between the two twin arcs whose passages sit at the same endpoint marker."""
     if d.mode != TWIN:
         raise MoveError("endpoint moves require twin mode")
-    slots = d.passage_slots(crossing)
+    slots = d.slot_index().get(crossing, ())
     if crossing not in d.crossings or len(slots) != 2:
         raise MoveError(f"unknown crossing id {crossing}")
     (c1, p1), (c2, p2) = slots
@@ -265,30 +277,31 @@ def apply_r3(d: Diagram, at: tuple[str, int]) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
+def _r1_pairs(d: Diagram) -> Iterator[tuple[Component, int]]:
+    """(component, a) for each kink, the adjacent pair (a, a + 1) holding
+    both passages of one crossing, in scan order."""
+    for comp in d.components:
+        ps = comp.passages
+        for a, b in _adjacent_pairs(comp):
+            if ps[a].crossing == ps[b].crossing:
+                yield comp, a
+
+
+def _r2_pairs(d: Diagram) -> Iterator[tuple[Component, int, int]]:
+    """(component, a, b) for each adjacent pair (a, b) at which
+    ``apply_r2`` cancels a bigon, in scan order."""
+    for ci, comp in enumerate(d.components):
+        for a, b in _adjacent_pairs(comp):
+            if _r2_refusal(d, ci, a, b) is None:
+                yield comp, a, b
+
+
 def find_r1_moves(d: Diagram) -> list[tuple[str, int]]:
-    out = []
-    for comp in d.components:
-        for a, b in _adjacent_pairs(comp):
-            if comp.passages[a].crossing == comp.passages[b].crossing:
-                out.append((comp.label, a))
-    return out
-
-
-def _applied(d: Diagram, move: Callable[[Diagram, tuple[str, int]], Diagram]
-             ) -> Iterator[tuple[Component, int, int, Diagram]]:
-    """(component, a, b, result) for each adjacent pair (a, b) at which
-    ``move`` applies, in scan order, trying each pair only when asked."""
-    for comp in d.components:
-        for a, b in _adjacent_pairs(comp):
-            try:
-                out = move(d, (comp.label, a))
-            except MoveError:
-                continue
-            yield comp, a, b, out
+    return [(comp.label, a) for comp, a in _r1_pairs(d)]
 
 
 def find_r2_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(comp.label, a) for comp, a, _, _ in _applied(d, apply_r2)]
+    return [(comp.label, a) for comp, a, _ in _r2_pairs(d)]
 
 
 def find_commute_moves(d: Diagram) -> list[tuple[str, int]]:
@@ -314,7 +327,15 @@ def find_f_moves(d: Diagram) -> list[int]:
 
 
 def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(comp.label, a) for comp, a, _, _ in _applied(d, apply_r3)]
+    out = []
+    for comp in d.components:
+        for a, _ in _adjacent_pairs(comp):
+            try:
+                apply_r3(d, (comp.label, a))
+            except MoveError:
+                continue
+            out.append((comp.label, a))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +346,17 @@ def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
 def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
     """Apply the first enabled crossing-removing move, scanning R1 then R2
     then F; None when no such move is enabled."""
-    r1 = find_r1_moves(d)
-    if r1:
-        label, i = r1[0]
-        cid = d.component(label).passages[i].crossing
-        return apply_r1(d, r1[0]), MoveEvent(R1, (cid,), r1[0])
-    for comp, a, b, out in _applied(d, apply_r2):
+    for comp, a in _r1_pairs(d):
+        cid = comp.passages[a].crossing
+        return (_drop_crossings(d, {cid}),
+                MoveEvent(R1, (cid,), (comp.label, a)))
+    for comp, a, b in _r2_pairs(d):
         cids = (comp.passages[a].crossing, comp.passages[b].crossing)
-        return out, MoveEvent(R2, cids, (comp.label, a))
+        return _drop_crossings(d, set(cids)), MoveEvent(R2, cids, (comp.label, a))
     fmoves = find_f_moves(d)
     if fmoves:
         cid = fmoves[0]
-        ci, pos = d.passage_slots(cid)[0]
+        ci, pos = d.slot_index()[cid][0]
         return (apply_f_move(d, cid),
                 MoveEvent(F_MOVE, (cid,), (d.components[ci].label, pos)))
     return None
@@ -409,11 +429,14 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
     under-pair of opposite signs whose over-partners share a run; an
     endpoint slide needs both passages able to reach the same marker.
     """
+    if not find_commute_moves(d):  # no plan can take a first step
+        return None
     runs_by_comp = {c.label: _over_runs(c) for c in d.components}
+    index = d.slot_index()
 
     # kinks: bring O_c to the edge of a run bordering U_c
     for cid in sorted(d.crossings):
-        slots = d.passage_slots(cid)
+        slots = index.get(cid, ())
         if len(slots) != 2 or slots[0][0] != slots[1][0]:
             continue
         ci = slots[0][0]
@@ -468,7 +491,7 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:
         for cid in sorted(d.crossings):
-            slots = d.passage_slots(cid)
+            slots = index.get(cid, ())
             if len(slots) != 2:
                 continue
             (c1, p1), (c2, p2) = slots
@@ -585,11 +608,14 @@ def canonicalize(d: Diagram) -> CanonicalForm:
 
     The key text is built straight from the passages.  Arcs come first and
     are numbered the same way under every set of loop reversals, so their
-    text (the prefix) has one length for all of them, and only the
-    reversal sets with the least prefix can win.  Each loop's text ends in
-    its only ``;``, so no loop text is a proper prefix of another and the
-    key compares loop by loop: the search keeps, level by level, every
-    partial choice of (loop, rotation) whose text ties for the least.
+    text (the prefix) differs between those sets only in the sign marks,
+    and only the sets with the least marks can win.  A key is a sequence
+    of parts (a passage token, a surgery text, ``;``) and no part is a
+    prefix of another, so keys compare part by part.  Each loop's text
+    ends in its only ``;``, so the key compares loop by loop: the search
+    keeps, level by level, every partial choice of (loop, rotation) whose
+    text ties for the least, and writes out in full only the choices whose
+    first part ties for the least.
     """
     arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
     arc_labels = ["A", "B"] if d.mode == TWIN else ["K"]
@@ -600,6 +626,7 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     for comp in arcs:
         for p in comp.passages:
             arc_number.setdefault(p.crossing, len(arc_number) + 1)
+    arc_cids = [p.crossing for comp in arcs for p in comp.passages]
     # reversing a loop flips the crossings it meets exactly once
     flips = []
     for lp in loops:
@@ -608,69 +635,95 @@ def canonicalize(d: Diagram) -> CanonicalForm:
             met[p.crossing] = met.get(p.crossing, 0) + 1
         flips.append([cid for cid, n in met.items() if n == 1])
 
-    best_prefix: str | None = None
+    best_marks: str | None = None
     masks: list[tuple[int, int, dict[int, str]]] = []  # (n_rev, mask, marks)
+    unreversed = {cid: "+" if s > 0 else "-" for cid, s in d.crossings.items()}
     for mask in range(1 << n_loops):
-        signs = dict(d.crossings)
+        marks = dict(unreversed) if mask else unreversed
         n_rev = 0
         for li in range(n_loops):
             if mask >> li & 1:
                 n_rev += 1
                 for cid in flips[li]:
-                    signs[cid] = -signs[cid]
-        marks = {cid: "+" if s > 0 else "-" for cid, s in signs.items()}
-        parts = [TWIN if d.mode == TWIN else "knot", "{"]
-        for label, comp in zip(arc_labels, arcs):
-            parts.append("arc")
-            parts.append(f"{label}:")
-            parts.extend(f"{p.role}{arc_number[p.crossing]}{marks[p.crossing]}"
-                         for p in comp.passages)
-            parts.extend(_surgery_text(comp))
-            parts.append(";")
-        prefix = " ".join(parts)
-        if best_prefix is None or prefix < best_prefix:
-            best_prefix, masks = prefix, []
-        if prefix == best_prefix:
+                    marks[cid] = "-" if marks[cid] == "+" else "+"
+        arc_marks = "".join([marks[cid] for cid in arc_cids])
+        if best_marks is None or arc_marks < best_marks:
+            best_marks, masks = arc_marks, []
+        if arc_marks == best_marks:
             masks.append((n_rev, mask, marks))
+
+    marks = masks[0][2]
+    parts = [TWIN if d.mode == TWIN else "knot", "{"]
+    for label, comp in zip(arc_labels, arcs):
+        parts.append("arc")
+        parts.append(f"{label}:")
+        parts.extend(f"{p.role}{arc_number[p.crossing]}{marks[p.crossing]}"
+                     for p in comp.passages)
+        parts.extend(_surgery_text(comp))
+        parts.append(";")
+    prefix = " ".join(parts)
 
     surgeries = [_surgery_text(lp) for lp in loops]
     # partial candidates: (n_rev, rots, perm, mask, marks, numbering, texts)
     beam = [(n_rev, (), (), mask, marks, arc_number, [])
             for n_rev, mask, marks in masks]
     for level in range(1, n_loops + 1):
-        head = ["loop", f"T{level:03d}:"]
-        best_text: str | None = None
-        grown: list = []
-        for n_rev, rots, perm, mask, marks, number, texts in beam:
+        # choices (candidate, loop, passages, tokens, rotation) whose first
+        # part ties for the least; a token is None where its crossing is
+        # not yet numbered, since its number depends on the rotation
+        best_first: str | None = None
+        choices: list = []
+        for cand in beam:
+            perm, mask, marks, number = cand[2], cand[3], cand[4], cand[5]
             for li in range(n_loops):
                 if li in perm:
                     continue
                 seq = loops[li].passages
                 if mask >> li & 1:
                     seq = seq[::-1]
-                for rot in range(max(1, len(seq))):
-                    new: dict[int, int] = {}
-                    nxt = len(number) + 1
-                    parts = list(head)
-                    for p in seq[rot:] + seq[:rot]:
-                        cid = p.crossing
-                        num = number.get(cid) or new.get(cid)
-                        if num is None:
-                            num = new[cid] = nxt
+                toks = [f"{p.role}{number[p.crossing]}{marks[p.crossing]}"
+                        if p.crossing in number else None for p in seq]
+                if seq:
+                    fresh = len(number) + 1
+                    firsts = [tok or f"{p.role}{fresh}{marks[p.crossing]}"
+                              for tok, p in zip(toks, seq)]
+                else:
+                    firsts = [(surgeries[li] or [";"])[0]]
+                least = min(firsts)
+                if best_first is None or least < best_first:
+                    best_first, choices = least, []
+                if least == best_first:
+                    choices.extend((cand, li, seq, toks, rot)
+                                   for rot, first in enumerate(firsts)
+                                   if first == least)
+
+        head = ["loop", f"T{level:03d}:"]
+        best_text: str | None = None
+        grown: list = []
+        for cand, li, seq, toks, rot in choices:
+            n_rev, rots, perm, mask, marks, number, texts = cand
+            new: dict[int, int] = {}
+            if None in toks:
+                nxt = len(number) + 1
+                toks = list(toks)
+                for k in [*range(rot, len(seq)), *range(rot)]:
+                    if toks[k] is None:
+                        cid = seq[k].crossing
+                        if cid not in new:
+                            new[cid] = nxt
                             nxt += 1
-                        parts.append(f"{p.role}{num}{marks[cid]}")
-                    parts.extend(surgeries[li])
-                    parts.append(";")
-                    text = " ".join(parts)
-                    if best_text is None or text < best_text:
-                        best_text, grown = text, []
-                    if text == best_text:
-                        grown.append((n_rev, rots + (rot,), perm + (li,),
-                                      mask, marks,
-                                      {**number, **new} if new else number,
-                                      texts + [text]))
+                        toks[k] = f"{seq[k].role}{new[cid]}{marks[cid]}"
+            text = " ".join(head + toks[rot:] + toks[:rot] + surgeries[li]
+                            + [";"])
+            if best_text is None or text < best_text:
+                best_text, grown = text, []
+            if text == best_text:
+                grown.append((n_rev, rots + (rot,), perm + (li,),
+                              mask, marks,
+                              {**number, **new} if new else number,
+                              texts + [text]))
         beam = grown
 
     n_rev, _, _, _, _, _, texts = min(beam, key=lambda s: s[:3])
-    key = " ".join([best_prefix, *texts, "}"])
+    key = " ".join([prefix, *texts, "}"])
     return CanonicalForm(key, -1 if n_rev % 2 else 1)

@@ -133,18 +133,20 @@ class SkeinResult:
 
 
 def switch_crossing(d: Diagram, crossing: int) -> Diagram:
-    """Swap the over/under roles of the crossing's passages and flip its sign."""
+    """Swap the over/under roles of the crossing's passages and flip its sign.
+    Components that do not meet the crossing are kept as they are."""
     if crossing not in d.crossings:
         raise DiagramError(f"unknown crossing id {crossing}")
-    comps = tuple(
-        Component(c.kind, c.label,
-                  tuple(p.flipped() if p.crossing == crossing else p
-                        for p in c.passages),
-                  c.surgery)
-        for c in d.components)
+    comps = list(d.components)
+    for ci, pi in d.slot_index().get(crossing, ()):
+        c = comps[ci]
+        ps = c.passages
+        comps[ci] = Component(c.kind, c.label,
+                              ps[:pi] + (ps[pi].flipped(),) + ps[pi + 1:],
+                              c.surgery)
     signs = dict(d.crossings)
     signs[crossing] = -signs[crossing]
-    return Diagram(d.mode, comps, signs)
+    return Diagram(d.mode, tuple(comps), signs)
 
 
 def _fresh_loop_label(d: Diagram) -> str:
@@ -172,7 +174,7 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
         raise UnsupportedLoopSmoothing(
             f"crossing {crossing} is {kind}; only arc-self and arc-loop "
             f"crossings can be smoothed")
-    slots = d.passage_slots(crossing)
+    slots = d.slot_index()[crossing]
 
     if kind == ARC_SELF:
         (ci, i), (_, j) = slots

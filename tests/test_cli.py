@@ -1,6 +1,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from twinskein.cli import main
 
 FIX = str(resources.files("twinskein") / "fixtures")
@@ -72,6 +74,24 @@ class TestInvariant:
                            "--trace", "dot", "--trace-out", str(out_path))
         assert code == 0
         assert out_path.read_text().startswith("digraph skein {")
+
+    def test_trace_out_without_trace_is_refused(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--trace-out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --trace-out needs --trace")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["invariant", "validate"])
+    def test_non_utf8_input_is_an_io_error(self, capsys, tmp_path, command):
+        f = tmp_path / "x.twin"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode")
 
     def test_unresolved_exit(self, capsys, tmp_path):
         f = tmp_path / "pairwise.twin"

@@ -473,6 +473,59 @@ class TestCanonicalizeAgainstBruteForce:
         d = parse(text)
         assert canonicalize(d) == brute_force_canonicalize(d)
 
+    #: Where pruning on the first part of a loop text could go wrong: loop
+    #: crossings numbered 10 and up (``O10+`` sorts before ``O2+``), empty
+    #: and surgery-labelled loops (``(`` sorts before ``;``, both before a
+    #: token), and first parts that tie between rotations of one loop or
+    #: between loops.
+    PRUNING = [
+        "twin { arc A: O1+ O2+ O3+ O4+ O5+ O6+ O7+ O8+ O9+ ; arc B: ; "
+        "loop S: U2+ U3+ ; loop T: U9+ O10- U10- ; loop U: U1+ U4+ U5+ "
+        "U6+ U7+ U8+ ; }",
+        "twin { arc A: O1+ O2+ O3+ O4+ O5+ O6+ O7+ O8+ O9+ ; arc B: ; "
+        "loop S: U2+ O10+ U11- ; loop T: U10+ O11- U1+ ; loop U: U3+ U4+ "
+        "U5+ U6+ U7+ U8+ U9+ ; }",
+        "knot { arc K: O1- O2+ O3- O4+ O5- O6+ O7- O8+ O9- ; "
+        "loop T: U1- U2+ U3- U4+ U5- O10+ U6+ U10+ U7- U8+ U9- ; }",
+        "twin { arc A: O1+ ; arc B: ; loop S: (2, 1/3) ; "
+        "loop T: U1+ (0, 0/1) ; loop U: ; loop V: (-1, 1/2) ; }",
+        "twin { arc A: ; arc B: ; loop S: (0, 0/1) ; loop T: (0, 0/12) ; "
+        "loop U: ; }",
+        "twin { arc A: O1+ O2+ ; arc B: ; "
+        "loop T: O3+ U3+ U1+ O4+ U4+ U2+ ; }",
+        "twin { arc A: O1+ O2- ; arc B: ; loop S: U1+ O3+ U3+ ; "
+        "loop T: U2- O4+ U4+ ; }",
+        "twin { arc A: ; arc B: ; loop S: O1+ U2+ O3- U4- ; "
+        "loop T: O2+ U1+ O4- U3- ; }",
+        "twin { arc A: O5+ ; arc B: ; loop S: O1+ U1+ O2+ U2+ U5+ ; "
+        "loop T: O3- U3- O4- U4- ; }",
+    ]
+
+    @pytest.mark.parametrize("text", PRUNING)
+    def test_pruning_cases(self, text):
+        d = parse(text)
+        assert canonicalize(d) == brute_force_canonicalize(d)
+
+    def test_random_diagrams_with_ten_or_more_crossings(self, rng):
+        surgeries = (None, DEFAULT_SURGERY, (2, 1, 3))
+        high = 0
+        checked = 0
+        while checked < 40:
+            d = random_diagram(rng, max_crossings=12, n_loops=1 + checked % 2,
+                               two_arcs=True)
+            if len(d.crossings) < 10:
+                continue
+            checked += 1
+            d = d.with_components(tuple(
+                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+                for c in d.components))
+            cf = canonicalize(d)
+            assert cf == brute_force_canonicalize(d), serialize(d)
+            loop_text = cf.key.split("loop", 1)[1:]
+            high += any(tok[1:-1].isdigit() and int(tok[1:-1]) >= 10
+                        for tok in "".join(loop_text).split())
+        assert high >= 10
+
     def test_random_diagrams_with_up_to_three_loops(self, rng):
         kinds = set()
         surgeries = (None, DEFAULT_SURGERY, (2, 1, 3))

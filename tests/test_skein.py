@@ -3,7 +3,9 @@ import json
 import pytest
 
 from twinskein.diagram import (
+    Diagram,
     DiagramError,
+    TWO_KNOT,
     parse,
     random_diagram,
     reverse_component,
@@ -51,6 +53,15 @@ class TestSwitch:
     def test_crossing_count_preserved(self):
         d = parse(SPUN_TREFOIL)
         assert switch_crossing(d, 1).crossing_count() == 3
+
+    def test_untouched_components_are_kept(self):
+        d = parse("twin { arc A: O1+ U2- ; arc B: O3+ ; "
+                  "loop S: U1+ O2- ; loop T: U3+ ; }")
+        out = switch_crossing(d, 1)
+        assert [p.role for p in out.component("A").passages] == ["U", "U"]
+        assert [p.role for p in out.component("S").passages] == ["O", "O"]
+        for label in ("B", "T"):
+            assert out.component(label) is d.component(label)
 
 
 class TestSmooth:
@@ -243,6 +254,86 @@ def _resolvable(rng, **kwargs):
         if r.resolved:
             return d, r
     raise AssertionError("generator failed to find a resolvable diagram")
+
+
+def _fixture_diagrams() -> list[Diagram]:
+    from importlib import resources
+    folder = resources.files("twinskein") / "fixtures"
+    return [parse((folder / name).read_text())
+            for name in ("tw_std.twin", "tw_split.twin", "tw_giller.twin",
+                         "tw_unknot_pair.twin", "giller_ex.knot")]
+
+
+def _random_diagrams(rng, n: int) -> list[Diagram]:
+    return [random_diagram(rng, max_crossings=5,
+                           mode=TWO_KNOT if i % 4 == 3 else "twin",
+                           n_loops=i % 3, two_arcs=i % 2 == 1)
+            for i in range(n)]
+
+
+def _scanned_slots(d: Diagram, crossing: int) -> list[tuple[int, int]]:
+    """passage_slots by a scan of every passage, as it was before the index."""
+    return [(ci, pi) for ci, comp in enumerate(d.components)
+            for pi, p in enumerate(comp.passages) if p.crossing == crossing]
+
+
+class TestPassageIndex:
+    CONFIGS = (SkeinConfig(depth_budget=16),
+               SkeinConfig(depth_budget=16, emit_trace=True,
+                           strategy="first_eligible"))
+
+    def _evaluate_all(self, diagrams):
+        for d in diagrams:
+            for cfg in self.CONFIGS:
+                try:
+                    evaluate(d, cfg)
+                except DiagramError:
+                    pass
+
+    def test_slots_match_a_scan_on_every_diagram_built(self, rng,
+                                                       monkeypatch):
+        built = []
+        init = Diagram.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(Diagram, "__init__", recording_init)
+        self._evaluate_all(_fixture_diagrams() + _random_diagrams(rng, 300))
+        monkeypatch.undo()
+        assert len(built) > 1000
+        for d in built:
+            absent = max(d.crossings, default=0) + 1
+            for cid in [*d.crossings, absent]:
+                assert d.passage_slots(cid) == _scanned_slots(d, cid)
+
+    def test_mutating_the_returned_slots_leaves_the_index_alone(self):
+        d = parse(SPUN_TREFOIL)
+        slots = d.passage_slots(2)
+        slots.append((9, 9))
+        slots.reverse()
+        assert d.passage_slots(2) == _scanned_slots(d, 2) == [(0, 1), (0, 4)]
+        assert d.passage_slots(7) == []
+        d.passage_slots(7).append((0, 0))
+        assert d.passage_slots(7) == []
+
+    def test_each_diagram_builds_its_index_at_most_once(self, rng,
+                                                        monkeypatch):
+        import twinskein.diagram as diagram
+        build = diagram._build_slot_index
+        builds: dict[int, int] = {}
+        alive = []  # keeps every indexed diagram alive, so ids stay unique
+
+        def counting_build(d):
+            builds[id(d)] = builds.get(id(d), 0) + 1
+            alive.append(d)
+            return build(d)
+
+        monkeypatch.setattr(diagram, "_build_slot_index", counting_build)
+        self._evaluate_all(_fixture_diagrams() + _random_diagrams(rng, 300))
+        assert len(builds) > 1000
+        assert max(builds.values()) == 1
 
 
 class TestProperties:
