@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .alexander import (
+    LinkCode,
     alexander_at_t_squared,
     braid_closure,
     conway,
     diagram_to_link,
     link_to_diagram,
 )
-from .constructions import artin_spin, table_knot, table_names
+from .constructions import (ClassicalKnotCode, artin_spin, table_knot,
+                            table_names)
 from .diagram import (
     Diagram,
     parse,
@@ -29,11 +31,13 @@ from .diagram import (
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .moves import (
+    apply_f_move,
     apply_r1,
     apply_r2,
     apply_r3,
     apply_welded_commute,
     find_commute_moves,
+    find_f_moves,
     find_r1_moves,
     find_r2_moves,
     find_r3_moves,
@@ -85,7 +89,12 @@ def _timed(fn):
 
 
 def _value_case(name: str, fixture: str, expected: LaurentPoly,
-                cfg: SkeinConfig | None = None) -> tuple[CaseResult, object]:
+                multiplier: LaurentPoly | None,
+                emit_trace: bool = False) -> tuple[CaseResult, object]:
+    """Evaluate a fixture, under ``multiplier`` when one is given."""
+    cfg = SkeinConfig(emit_trace=emit_trace)
+    if multiplier is not None:
+        cfg = SkeinConfig(emit_trace=emit_trace, multiplier=multiplier)
     d = load_fixture(fixture)
     result, elapsed = _timed(lambda: evaluate(d, cfg))
     ok = result.resolved and result.value == expected
@@ -98,13 +107,15 @@ def _value_case(name: str, fixture: str, expected: LaurentPoly,
     return CaseResult(name, ok, detail, elapsed * 1000), result
 
 
-def check_standard_twin() -> CaseResult:
-    case, _ = _value_case("standard-twin", "tw_std.twin", LaurentPoly.one())
+def check_standard_twin(multiplier: LaurentPoly | None = None) -> CaseResult:
+    case, _ = _value_case("standard-twin", "tw_std.twin", LaurentPoly.one(),
+                          multiplier)
     return case
 
 
-def check_split() -> CaseResult:
-    case, _ = _value_case("split", "tw_split.twin", LaurentPoly.zero())
+def check_split(multiplier: LaurentPoly | None = None) -> CaseResult:
+    case, _ = _value_case("split", "tw_split.twin", LaurentPoly.zero(),
+                          multiplier)
     return case
 
 
@@ -123,10 +134,8 @@ def _leaf_contributions(node, multiplier, coeff=None):
 
 
 def check_tw_giller(multiplier: LaurentPoly | None = None) -> CaseResult:
-    cfg = SkeinConfig(emit_trace=True)
-    if multiplier is not None:
-        cfg = SkeinConfig(emit_trace=True, multiplier=multiplier)
-    case, result = _value_case("tw-giller", "tw_giller.twin", GILLER_VALUE, cfg)
+    case, result = _value_case("tw-giller", "tw_giller.twin", GILLER_VALUE,
+                               multiplier, emit_trace=True)
     if not case.ok:
         return case
     leaves = result.trace.leaves()
@@ -142,7 +151,8 @@ def check_tw_giller(multiplier: LaurentPoly | None = None) -> CaseResult:
     if len(torus) != 2 or any("loop" not in n.key for n in torus):
         problems.append("twin-torus leaves wrong")
     cancel = LaurentPoly.zero()
-    for leaf, contrib, _ in _leaf_contributions(result.trace, cfg.multiplier):
+    for leaf, contrib, _ in _leaf_contributions(result.trace,
+                                                result.multiplier):
         if leaf.terminal != STANDARD:
             cancel = cancel + contrib
     if not cancel.is_zero():
@@ -155,10 +165,9 @@ def check_tw_giller(multiplier: LaurentPoly | None = None) -> CaseResult:
                       f"leaves", case.elapsed_ms)
 
 
-def check_tw_unknot_pair() -> CaseResult:
-    cfg = SkeinConfig(emit_trace=True)
+def check_tw_unknot_pair(multiplier: LaurentPoly | None = None) -> CaseResult:
     case, result = _value_case("tw-unknot-pair", "tw_unknot_pair.twin",
-                               GILLER_VALUE, cfg)
+                               GILLER_VALUE, multiplier, emit_trace=True)
     if not case.ok:
         return case
     if result.trace.crossing_sign != -1:
@@ -169,8 +178,9 @@ def check_tw_unknot_pair() -> CaseResult:
                       case.elapsed_ms)
 
 
-def check_giller_two_knot() -> CaseResult:
-    case, _ = _value_case("giller-two-knot", "giller_ex.knot", GILLER_VALUE)
+def check_giller_two_knot(multiplier: LaurentPoly | None = None) -> CaseResult:
+    case, _ = _value_case("giller-two-knot", "giller_ex.knot", GILLER_VALUE,
+                          multiplier)
     return case
 
 
@@ -256,7 +266,6 @@ def _prop_move_invariance(rng) -> int:
     while checked < PROPERTY_CASES:
         d, before = next(stream)
         moved = d
-        from .moves import find_f_moves, apply_f_move
         for _ in range(rng.randint(1, 3)):
             options = ([("r1", p) for p in find_r1_moves(moved)]
                        + [("r2", p) for p in find_r2_moves(moved)]
@@ -335,8 +344,6 @@ def check_properties() -> list[CaseResult]:
 def check_conway_oracle() -> CaseResult:
     t0 = time.perf_counter()
     problems = []
-    from .alexander import LinkCode
-    from .constructions import ClassicalKnotCode
     if conway(ClassicalKnotCode((), {})) != LaurentPoly.one():
         problems.append("unknot")
     if conway(LinkCode(((), ()), {})) != LaurentPoly.zero():
@@ -395,27 +402,10 @@ def run_all(multiplier: LaurentPoly | None = None) -> list[CaseResult]:
     """All acceptance checks.  An overridden multiplier applies to the
     fixture-value criteria (perturbation sanity: anything but the default
     breaks the corpus values)."""
-    if multiplier is None:
-        cases = [
-            check_standard_twin(),
-            check_split(),
-            check_tw_giller(),
-            check_tw_unknot_pair(),
-            check_giller_two_knot(),
-            check_fintushel_stern(),
-        ]
-    else:
-        cfg = SkeinConfig(multiplier=multiplier)
-        cases = [
-            _value_case("standard-twin", "tw_std.twin", LaurentPoly.one(),
-                        cfg)[0],
-            _value_case("split", "tw_split.twin", LaurentPoly.zero(), cfg)[0],
-            check_tw_giller(multiplier),
-            check_tw_unknot_pair(),
-            _value_case("giller-two-knot", "giller_ex.knot", GILLER_VALUE,
-                        cfg)[0],
-            check_fintushel_stern(),
-        ]
+    cases = [check(multiplier) for check in (
+        check_standard_twin, check_split, check_tw_giller,
+        check_tw_unknot_pair, check_giller_two_knot)]
+    cases.append(check_fintushel_stern())
     cases.extend(check_properties())
     cases.append(check_conway_oracle())
     cases.append(check_negative_control())

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import ClassicalKnotCode
+from .constructions import ClassicalKnotCode, check_gauss_roles
 from .diagram import (
     Component,
     Diagram,
@@ -44,16 +44,7 @@ class LinkCode:
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        roles: dict[int, list[str]] = {}
-        for comp in self.components:
-            for p in comp:
-                roles.setdefault(p.crossing, []).append(p.role)
-        if set(roles) != set(self.crossings):
-            raise DiagramError("crossing map does not match the passages")
-        for cid, rs in roles.items():
-            if sorted(rs) != [OVER, UNDER]:
-                raise DiagramError(
-                    f"crossing {cid} must appear once over and once under")
+        check_gauss_roles(self.components, self.crossings)
 
     @classmethod
     def from_knot(cls, k: ClassicalKnotCode) -> "LinkCode":

@@ -13,7 +13,8 @@ import time
 
 from .acceptance import run_all
 from .alexander import alexander_symmetrized, conway
-from .constructions import artin_spin, connect_sum_twin, table_knot, twin_closure
+from .constructions import (ClassicalKnotCode, artin_spin, connect_sum_twin,
+                            table_knot, twin_closure)
 from .diagram import (
     DiagramError,
     ParseError,
@@ -88,8 +89,6 @@ def cmd_invariant(args) -> int:
           file=sys.stderr)
     print(result.value.render() if result.resolved
           else f"unresolved: {result.unresolved_reason}")
-    if not result.resolved:
-        return EXIT_DOMAIN
     if args.trace is not None:
         text = export_trace(result, args.trace)
         if args.trace_out:
@@ -97,7 +96,7 @@ def cmd_invariant(args) -> int:
                 f.write(text + "\n")
         else:
             print(text)
-    return EXIT_OK
+    return EXIT_OK if result.resolved else EXIT_DOMAIN
 
 
 def cmd_conway(args) -> int:
@@ -109,7 +108,6 @@ def cmd_conway(args) -> int:
         d = _load_diagram(args.path)
         if d.mode != TWO_KNOT or d.loops():
             raise DiagramError("conway expects a knot file with a single arc")
-        from .constructions import ClassicalKnotCode
         arc = next(c for c in d.components if c.is_arc)
         code = ClassicalKnotCode(arc.passages, dict(d.crossings))
     print(conway(code).render("z"))

@@ -25,6 +25,22 @@ from .diagram import (
 )
 
 
+def check_gauss_roles(strands: tuple[tuple[Passage, ...], ...],
+                      crossings: dict[int, int]) -> None:
+    """Raise DiagramError unless the crossing map names exactly the crossings
+    of the strands' passages, each met once over and once under."""
+    roles: dict[int, list[str]] = {}
+    for strand in strands:
+        for p in strand:
+            roles.setdefault(p.crossing, []).append(p.role)
+    if set(roles) != set(crossings):
+        raise DiagramError("crossing map does not match the passages")
+    for cid, rs in roles.items():
+        if sorted(rs) != [OVER, UNDER]:
+            raise DiagramError(
+                f"crossing {cid} must appear once over and once under")
+
+
 @dataclass(frozen=True)
 class ClassicalKnotCode:
     """A classical knot Gauss code: one closed strand through signed crossings."""
@@ -35,15 +51,7 @@ class ClassicalKnotCode:
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        roles: dict[int, list[str]] = {}
-        for p in self.passages:
-            roles.setdefault(p.crossing, []).append(p.role)
-        if set(roles) != set(self.crossings):
-            raise DiagramError("crossing map does not match the passages")
-        for cid, rs in roles.items():
-            if sorted(rs) != [OVER, UNDER]:
-                raise DiagramError(
-                    f"crossing {cid} must appear once over and once under")
+        check_gauss_roles((self.passages,), self.crossings)
 
     def crossing_count(self) -> int:
         return len(self.crossings)

@@ -510,35 +510,6 @@ def rotate_loop(d: Diagram, label: str, offset: int) -> Diagram:
     return Diagram(d.mode, comps, dict(d.crossings))
 
 
-def connected_blocks(d: Diagram) -> tuple[tuple[str, ...], ...]:
-    """Finest partition of components such that two components sharing a
-    crossing land in the same block.  Deterministic order."""
-    n = len(d.components)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    index = d.slot_index()
-    for cid in d.crossings:
-        slots = index.get(cid, ())
-        if len(slots) == 2:
-            union(slots[0][0], slots[1][0])
-
-    blocks: dict[int, list[str]] = {}
-    for i, comp in enumerate(d.components):
-        blocks.setdefault(find(i), []).append(comp.label)
-    return tuple(tuple(blocks[root]) for root in sorted(blocks))
-
-
 # ---------------------------------------------------------------------------
 # random diagrams
 # ---------------------------------------------------------------------------

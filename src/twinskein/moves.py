@@ -23,7 +23,6 @@ from .diagram import (
     TWIN,
     TWIN_ARC,
     UNDER,
-    connected_blocks,
 )
 
 R1 = "R1"
@@ -362,62 +361,46 @@ def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
     return None
 
 
-def _over_runs(comp: Component) -> list[list[int]]:
-    """Maximal stretches of consecutive over-passages, as position lists in
-    run order (wrapping for loops; an all-over loop is one cyclic run)."""
-    n = len(comp.passages)
-    over = [p.role == OVER for p in comp.passages]
-    if not any(over):
-        return []
-    if comp.is_loop and all(over):
-        return [list(range(n))]
-    runs: list[list[int]] = []
+def _over_runs(comp: Component) -> dict[int, list[int]]:
+    """Each over-passage position -> its maximal stretch of consecutive
+    over-passages, as positions in run order (wrapping for loops; an
+    all-over loop is one cyclic run).  All positions of one run share one
+    list."""
+    ps = comp.passages
+    n = len(ps)
     start = 0
     if comp.is_loop:
         # begin scanning right after an under-passage so wrap runs stay whole
-        start = next(i for i in range(n) if not over[i]) + 1
-    cur: list[int] = []
+        start = next((i + 1 for i in range(n) if ps[i].role != OVER), 0)
+    runs: dict[int, list[int]] = {}
+    run: list[int] = []
     for k in range(n):
-        pos = (start + k) % n if comp.is_loop else k
-        if over[pos]:
-            cur.append(pos)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
+        pos = (start + k) % n
+        if ps[pos].role == OVER:
+            run.append(pos)
+            runs[pos] = run
+        elif run:
+            run = []
     return runs
-
-
-def _run_index(runs: list[list[int]], pos: int) -> int | None:
-    for ri, run in enumerate(runs):
-        if pos in run:
-            return ri
-    return None
 
 
 def _shift_plan(label: str, run: list[int], src_idx: int,
                 dst_idx: int) -> list[tuple[str, int]]:
     """Commute positions that walk one over-passage from run index src to dst."""
-    plan = []
-    i = src_idx
-    while i < dst_idx:
-        plan.append((label, run[i]))
-        i += 1
-    while i > dst_idx:
-        plan.append((label, run[i - 1]))
-        i -= 1
-    return plan
+    return ([(label, run[i]) for i in range(src_idx, dst_idx)]
+            + [(label, run[i - 1]) for i in range(src_idx, dst_idx, -1)])
 
 
-def _arrange_pair_plan(label: str, run: list[int], first_idx: int,
-                       second_idx: int) -> list[tuple[str, int]]:
-    """Commutes making the passage at run index first_idx immediately precede
-    the one at second_idx (both stay inside the run)."""
-    if first_idx < second_idx:
-        return _shift_plan(label, run, first_idx, second_idx - 1)
-    # walk the intended first element left past the other
-    return _shift_plan(label, run, first_idx, second_idx)
+def _reach(comp: Component, runs: dict[int, list[int]], pos: int,
+           target: int) -> list[tuple[str, int]] | None:
+    """Commutes that walk the passage at ``pos`` to ``target`` inside its
+    over-run; None when it cannot get there."""
+    if pos == target:
+        return []
+    run = runs.get(pos)
+    if run is None or runs.get(target) is not run:
+        return None
+    return _shift_plan(comp.label, run, run.index(pos), run.index(target))
 
 
 def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
@@ -431,7 +414,7 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
     """
     if not find_commute_moves(d):  # no plan can take a first step
         return None
-    runs_by_comp = {c.label: _over_runs(c) for c in d.components}
+    runs = [_over_runs(c) for c in d.components]
     index = d.slot_index()
 
     # kinks: bring O_c to the edge of a run bordering U_c
@@ -441,23 +424,18 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             continue
         ci = slots[0][0]
         comp = d.components[ci]
-        n = len(comp.passages)
         (p1, p2) = (slots[0][1], slots[1][1])
         if comp.passages[p1].role == OVER:
             op, up = p1, p2
         else:
             op, up = p2, p1
-        runs = runs_by_comp[comp.label]
-        ri = _run_index(runs, op)
-        if ri is None:
+        run = runs[ci].get(op)
+        if run is None:
             continue
-        run = runs[ri]
         src = run.index(op)
-        after_end = (run[-1] + 1) % n if comp.is_loop else run[-1] + 1
-        before_start = (run[0] - 1) % n if comp.is_loop else run[0] - 1
-        if after_end == up and after_end < n:
+        if _neighbor(comp, run[-1], +1) == up:
             plan = _shift_plan(comp.label, run, src, len(run) - 1)
-        elif 0 <= before_start == up:
+        elif _neighbor(comp, run[0], -1) == up:
             plan = _shift_plan(comp.label, run, src, 0)
         else:
             continue
@@ -477,14 +455,12 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             os_ci, os_p = _other_slot(d, s, (ci, b))
             if of_ci != os_ci:
                 continue
-            ocomp = d.components[of_ci]
-            runs = runs_by_comp[ocomp.label]
-            ri = _run_index(runs, of_p)
-            if ri is None or ri != _run_index(runs, os_p):
+            run = runs[of_ci].get(of_p)
+            if run is None or runs[of_ci].get(os_p) is not run:
                 continue
-            run = runs[ri]
-            plan = _arrange_pair_plan(ocomp.label, run, run.index(os_p),
-                                      run.index(of_p))
+            # walk the partner of s to just before the partner of f
+            i, j = run.index(os_p), run.index(of_p)
+            plan = _shift_plan(d.components[of_ci].label, run, i, j - (i < j))
             if plan:
                 return plan
 
@@ -498,25 +474,10 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             comp1, comp2 = d.components[c1], d.components[c2]
             if c1 == c2 or comp1.kind != "twin_arc" or comp2.kind != "twin_arc":
                 continue
-
-            def reach(comp: Component, pos: int, target: int
-                      ) -> list[tuple[str, int]] | None:
-                if pos == target:
-                    return []
-                if comp.passages[pos].role != OVER:
-                    return None
-                runs = runs_by_comp[comp.label]
-                ri = _run_index(runs, pos)
-                if ri is None or target not in runs[ri]:
-                    return None
-                run = runs[ri]
-                return _shift_plan(comp.label, run, run.index(pos),
-                                   run.index(target))
-
             for t1, t2 in ((0, 0), (len(comp1.passages) - 1,
                                     len(comp2.passages) - 1)):
-                plan1 = reach(comp1, p1, t1)
-                plan2 = reach(comp2, p2, t2)
+                plan1 = _reach(comp1, runs[c1], p1, t1)
+                plan2 = _reach(comp2, runs[c2], p2, t2)
                 if plan1 is not None and plan2 is not None and (plan1 or plan2):
                     return plan1 + plan2
     return None
@@ -558,12 +519,20 @@ def events_to_json(events: tuple[MoveEvent, ...]) -> list[dict]:
 
 
 def is_split_simplified(fixed: Diagram) -> bool:
-    """True iff some connected block of an already simplified diagram
-    contains no arc: a loop or loop cluster is detached from the arcs."""
-    labels = {c.label: c for c in fixed.components}
-    return any(
-        not any(labels[lab].is_arc for lab in block)
-        for block in connected_blocks(fixed))
+    """True iff some component of an already simplified diagram cannot be
+    reached from the arcs through shared crossings: a loop or loop cluster
+    is detached from the arcs."""
+    comps = fixed.components
+    index = fixed.slot_index()
+    reached = {ci for ci, c in enumerate(comps) if c.is_arc}
+    todo = list(reached)
+    while todo and len(reached) < len(comps):
+        for p in comps[todo.pop()].passages:
+            for ci, _ in index[p.crossing]:
+                if ci not in reached:
+                    reached.add(ci)
+                    todo.append(ci)
+    return len(reached) < len(comps)
 
 
 def is_unit_simplified(fixed: Diagram) -> bool:
@@ -580,8 +549,8 @@ def is_standard_twin(d: Diagram) -> bool:
 
 
 def is_split(d: Diagram) -> bool:
-    """True iff, after simplification, some connected block contains no arc:
-    a loop or loop cluster is detached from the arcs."""
+    """True iff, after simplification, some component cannot be reached
+    from the arcs: a loop or loop cluster is detached from the arcs."""
     return is_split_simplified(simplify(d)[0])
 
 

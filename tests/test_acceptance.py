@@ -8,6 +8,7 @@ printed per criterion.
 import pytest
 
 from twinskein import acceptance
+from twinskein.laurent import LaurentPoly
 
 _RESULTS = {}
 
@@ -89,3 +90,14 @@ def test_criterion_8_conway_oracle():
 def test_criterion_9_negative_control():
     case = _get("negative-control")
     assert case.ok, case.detail
+
+
+# an overridden multiplier reaches every fixture-value criterion: 1 and 0
+# do not depend on it, the Giller value does
+def test_fixture_checks_take_the_multiplier():
+    one = LaurentPoly.one()
+    assert acceptance.check_standard_twin(one).ok
+    assert acceptance.check_split(one).ok
+    for check in (acceptance.check_tw_giller, acceptance.check_tw_unknot_pair,
+                  acceptance.check_giller_two_knot):
+        assert not check(one).ok, check.__name__

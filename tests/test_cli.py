@@ -100,6 +100,25 @@ class TestInvariant:
         assert code == 1
         assert out.startswith("unresolved: no-eligible-crossing")
 
+    def test_unresolved_run_still_emits_its_trace(self, capsys, tmp_path):
+        argv = ("invariant", f"{FIX}/tw_giller.twin", "--strategy",
+                "first_eligible", "--depth", "8", "--trace", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        first, rest = out.split("\n", 1)
+        assert first == "unresolved: depth-budget-exceeded"
+        node = json.loads(rest)
+        while node["children"]:
+            node = node["children"][0]["node"]
+        assert node["terminal"] == "unresolved"
+        assert node["reason"] == "depth-budget-exceeded"
+
+        out_path = tmp_path / "trace.json"
+        code, out, _ = run(capsys, *argv, "--trace-out", str(out_path))
+        assert code == 1
+        assert out == first + "\n"
+        assert json.loads(out_path.read_text()) == json.loads(rest)
+
     def test_surgery_label_refused(self, capsys, tmp_path):
         f = tmp_path / "labelled.twin"
         f.write_text("twin { arc A: ; arc B: ; loop T: (2, 1/3) ; }\n")

@@ -1,7 +1,8 @@
 import pytest
 
-from twinskein.alexander import alexander_at_t_squared, conway
+from twinskein.alexander import LinkCode, alexander_at_t_squared, conway
 from twinskein.constructions import (
+    ClassicalKnotCode,
     artin_spin,
     connect_sum_twin,
     table_knot,
@@ -9,7 +10,10 @@ from twinskein.constructions import (
     twin_closure,
 )
 from twinskein.diagram import (
+    OVER,
+    UNDER,
     DiagramError,
+    Passage,
     parse,
     random_diagram,
     serialize,
@@ -20,6 +24,22 @@ from twinskein.moves import is_standard_twin
 from twinskein.skein import evaluate
 
 SPUN_TREFOIL_VALUE = LaurentPoly({-2: 1, 0: -1, 2: 1})
+
+
+class TestGaussRoles:
+    """The knot code and the oracle's link code refuse the same bad codes."""
+
+    @pytest.mark.parametrize("build", [
+        lambda passages, signs: ClassicalKnotCode(passages, signs),
+        lambda passages, signs: LinkCode((passages, ()), signs),
+    ])
+    def test_bad_codes_refused(self, build):
+        over, under = Passage(1, OVER), Passage(1, UNDER)
+        build((over, under), {1: 1})
+        with pytest.raises(DiagramError, match="does not match"):
+            build((over, under), {1: 1, 2: -1})
+        with pytest.raises(DiagramError, match="once over and once under"):
+            build((over, over), {1: 1})
 
 
 class TestArtinSpin:

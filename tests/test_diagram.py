@@ -14,7 +14,6 @@ from twinskein.diagram import (
     TWIN,
     TWIN_ARC,
     classify_crossing,
-    connected_blocks,
     normalize,
     parse,
     random_diagram,
@@ -196,25 +195,3 @@ class TestReverse:
     def test_unknown_label(self):
         with pytest.raises(DiagramError):
             reverse_component(parse(STD), "Z")
-
-
-class TestBlocks:
-    def test_detached_loop(self):
-        d = parse("twin { arc A: ; arc B: ; loop T: ; }")
-        assert connected_blocks(d) == (("A",), ("B",), ("T",))
-
-    def test_loop_crossing_arc(self):
-        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
-        assert ("A", "T") in connected_blocks(d)
-
-    def test_loop_pair_block(self):
-        d = parse("twin { arc A: ; arc B: ; loop S: O1+ ; loop T: U1+ ; }")
-        blocks = connected_blocks(d)
-        assert ("S", "T") in blocks
-
-    def test_invariant_under_relabeling(self, rng):
-        for _ in range(30):
-            d = random_diagram(rng)
-            a = connected_blocks(d)
-            b = connected_blocks(normalize(d))
-            assert sorted(map(sorted, a)) == sorted(map(sorted, b))

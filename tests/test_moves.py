@@ -3,11 +3,14 @@ from itertools import permutations, product
 
 import pytest
 
+from twinskein import moves
 from twinskein.diagram import (
     DEFAULT_SURGERY,
     LOOP,
+    OVER,
     TWIN,
     TWO_KNOT,
+    UNDER,
     Component,
     Diagram,
     classify_crossing,
@@ -27,6 +30,8 @@ from twinskein.moves import (
     MoveEvent,
     _adjacent_pairs,
     _commute_search,
+    _other_slot,
+    _reduce,
     apply_f_move,
     apply_r1,
     apply_r2,
@@ -39,9 +44,11 @@ from twinskein.moves import (
     find_r2_moves,
     find_r3_moves,
     is_split,
+    is_split_simplified,
     is_standard_twin,
     simplify,
 )
+from twinskein.skein import evaluate
 
 STD = "twin { arc A: ; arc B: ; }"
 
@@ -338,6 +345,264 @@ class TestFindFMoves:
     def test_one_passage_arc_meets_both_markers_once(self):
         d = parse("twin { arc A: O1+ ; arc B: U1+ ; }")
         assert find_f_moves(d) == reference_f_moves(d) == [1]
+
+
+def reference_over_runs(comp: Component) -> list[list[int]]:
+    """Maximal over-runs as a list of position lists, in run order."""
+    n = len(comp.passages)
+    over = [p.role == OVER for p in comp.passages]
+    if not any(over):
+        return []
+    if comp.is_loop and all(over):
+        return [list(range(n))]
+    runs: list[list[int]] = []
+    start = 0
+    if comp.is_loop:
+        start = next(i for i in range(n) if not over[i]) + 1
+    cur: list[int] = []
+    for k in range(n):
+        pos = (start + k) % n if comp.is_loop else k
+        if over[pos]:
+            cur.append(pos)
+        elif cur:
+            runs.append(cur)
+            cur = []
+    if cur:
+        runs.append(cur)
+    return runs
+
+
+def reference_run_index(runs: list[list[int]], pos: int) -> int | None:
+    for ri, run in enumerate(runs):
+        if pos in run:
+            return ri
+    return None
+
+
+def reference_shift_plan(label, run, src_idx, dst_idx):
+    plan = []
+    i = src_idx
+    while i < dst_idx:
+        plan.append((label, run[i]))
+        i += 1
+    while i > dst_idx:
+        plan.append((label, run[i - 1]))
+        i -= 1
+    return plan
+
+
+def reference_arrange_pair_plan(label, run, first_idx, second_idx):
+    if first_idx < second_idx:
+        return reference_shift_plan(label, run, first_idx, second_idx - 1)
+    return reference_shift_plan(label, run, first_idx, second_idx)
+
+
+def reference_commute_search(d: Diagram) -> list[tuple[str, int]] | None:
+    """The commute search over runs kept as lists of position lists, each
+    looked up by a scan, and keyed by component label."""
+    if not moves.find_commute_moves(d):
+        return None
+    runs_by_comp = {c.label: reference_over_runs(c) for c in d.components}
+    index = d.slot_index()
+
+    for cid in sorted(d.crossings):
+        slots = index.get(cid, ())
+        if len(slots) != 2 or slots[0][0] != slots[1][0]:
+            continue
+        comp = d.components[slots[0][0]]
+        n = len(comp.passages)
+        p1, p2 = slots[0][1], slots[1][1]
+        op, up = (p1, p2) if comp.passages[p1].role == OVER else (p2, p1)
+        runs = runs_by_comp[comp.label]
+        ri = reference_run_index(runs, op)
+        if ri is None:
+            continue
+        run = runs[ri]
+        src = run.index(op)
+        after_end = (run[-1] + 1) % n if comp.is_loop else run[-1] + 1
+        before_start = (run[0] - 1) % n if comp.is_loop else run[0] - 1
+        if after_end == up and after_end < n:
+            plan = reference_shift_plan(comp.label, run, src, len(run) - 1)
+        elif 0 <= before_start == up:
+            plan = reference_shift_plan(comp.label, run, src, 0)
+        else:
+            continue
+        if plan:
+            return plan
+
+    for ci, comp in enumerate(d.components):
+        for a, b in _adjacent_pairs(comp):
+            pa, pb = comp.passages[a], comp.passages[b]
+            if pa.role != UNDER or pb.role != UNDER:
+                continue
+            f, s = pa.crossing, pb.crossing
+            if f == s or d.crossings[f] == d.crossings[s]:
+                continue
+            of_ci, of_p = _other_slot(d, f, (ci, a))
+            os_ci, os_p = _other_slot(d, s, (ci, b))
+            if of_ci != os_ci:
+                continue
+            ocomp = d.components[of_ci]
+            runs = runs_by_comp[ocomp.label]
+            ri = reference_run_index(runs, of_p)
+            if ri is None or ri != reference_run_index(runs, os_p):
+                continue
+            run = runs[ri]
+            plan = reference_arrange_pair_plan(ocomp.label, run,
+                                               run.index(os_p), run.index(of_p))
+            if plan:
+                return plan
+
+    if d.mode == TWIN:
+        for cid in sorted(d.crossings):
+            slots = index.get(cid, ())
+            if len(slots) != 2:
+                continue
+            (c1, p1), (c2, p2) = slots
+            comp1, comp2 = d.components[c1], d.components[c2]
+            if c1 == c2 or comp1.kind != "twin_arc" or comp2.kind != "twin_arc":
+                continue
+
+            def reach(comp, pos, target):
+                if pos == target:
+                    return []
+                if comp.passages[pos].role != OVER:
+                    return None
+                runs = runs_by_comp[comp.label]
+                ri = reference_run_index(runs, pos)
+                if ri is None or target not in runs[ri]:
+                    return None
+                run = runs[ri]
+                return reference_shift_plan(comp.label, run, run.index(pos),
+                                            run.index(target))
+
+            for t1, t2 in ((0, 0), (len(comp1.passages) - 1,
+                                    len(comp2.passages) - 1)):
+                plan1 = reach(comp1, p1, t1)
+                plan2 = reach(comp2, p2, t2)
+                if plan1 is not None and plan2 is not None and (plan1 or plan2):
+                    return plan1 + plan2
+    return None
+
+
+def reference_connected_blocks(d: Diagram) -> tuple[tuple[str, ...], ...]:
+    """Union-find partition of the components: two components sharing a
+    crossing land in the same block."""
+    n = len(d.components)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    index = d.slot_index()
+    for cid in d.crossings:
+        slots = index.get(cid, ())
+        if len(slots) == 2:
+            union(slots[0][0], slots[1][0])
+
+    blocks: dict[int, list[str]] = {}
+    for i, comp in enumerate(d.components):
+        blocks.setdefault(find(i), []).append(comp.label)
+    return tuple(tuple(blocks[root]) for root in sorted(blocks))
+
+
+def reference_is_split(d: Diagram) -> bool:
+    """Split iff some union-find block holds no arc."""
+    labels = {c.label: c for c in d.components}
+    return any(not any(labels[lab].is_arc for lab in block)
+               for block in reference_connected_blocks(d))
+
+
+def _random_with_empty_loops(rng, i: int) -> Diagram:
+    """Seeded random diagrams over 0-3 loops, both modes, ``two_arcs`` and
+    up to 12 crossings; every fifth one gains an empty loop."""
+    d = random_diagram(rng, max_crossings=1 + i % 12,
+                       mode=TWO_KNOT if i % 4 == 3 else TWIN,
+                       n_loops=i % 4, two_arcs=i % 3 == 0)
+    if i % 5 == 0:
+        d = d.with_components(d.components + (Component(LOOP, "E", ()),))
+    return d
+
+
+def _searched(monkeypatch, run) -> list[Diagram]:
+    """Every diagram handed to the commute search while ``run()`` works."""
+    seen = []
+    search = moves._commute_search
+
+    def record(d):
+        seen.append(d)
+        return search(d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moves, "_commute_search", record)
+        run()
+    return seen
+
+
+class TestCommuteSearchAgainstReference:
+    def test_fixtures_and_their_engine_nodes(self, monkeypatch):
+        fixtures = _fixtures()
+        searched = _searched(monkeypatch, lambda: [evaluate(d)
+                                                   for d in fixtures])
+        assert searched
+        for d in fixtures + searched:
+            assert _commute_search(d) == reference_commute_search(d)
+
+    def test_random_diagrams(self, rng):
+        planned = 0
+        for i in range(2400):
+            d = _random_with_empty_loops(rng, i)
+            plan = _commute_search(d)
+            assert plan == reference_commute_search(d), serialize(d)
+            planned += plan is not None
+        assert planned >= 200
+
+    def test_plans_simplify_asks_for(self, rng, monkeypatch):
+        diagrams = [_random_with_empty_loops(rng, i) for i in range(600)]
+        searched = _searched(monkeypatch,
+                             lambda: [simplify(d) for d in diagrams])
+        enabled = set()
+        for d in searched:
+            plan = _commute_search(d)
+            assert plan == reference_commute_search(d), serialize(d)
+            if plan is not None:
+                for at in plan:
+                    d = apply_welded_commute(d, at)
+                enabled.add(_reduce(d)[1].move_kind)
+        assert enabled == {R1, R2, F_MOVE}
+
+
+class TestSplitAgainstReference:
+    def test_loop_reached_through_another_loop_is_not_split(self):
+        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U2+ ; "
+                  "loop S: U1+ O2+ ; }")
+        assert not is_split_simplified(d) and not reference_is_split(d)
+        assert not is_split(d)
+
+    def test_detached_loop_pair_beside_an_attached_loop_is_split(self):
+        d = parse("twin { arc A: O1+ ; arc B: ; loop R: U1+ ; loop S: O2+ ; "
+                  "loop T: U2+ ; }")
+        assert is_split_simplified(d) and reference_is_split(d)
+        assert is_split(d)
+
+    def test_fixtures_and_random_diagrams(self, rng):
+        answers = set()
+        diagrams = _fixtures() + [_random_with_empty_loops(rng, i)
+                                  for i in range(2400)]
+        for d in diagrams:
+            for e in (d, simplify(d)[0]):
+                split = is_split_simplified(e)
+                assert split == reference_is_split(e), serialize(e)
+                answers.add((bool(e.loops()), split))
+        assert answers == {(False, False), (True, False), (True, True)}
 
 
 class TestAuditTrail:
