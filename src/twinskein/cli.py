@@ -142,6 +142,8 @@ def cmd_corpus(args) -> int:
         raise DiagramError(f"unknown suite {args.suite!r}")
     multiplier = (LaurentPoly.parse(args.multiplier)
                   if args.multiplier is not None else None)
+    if multiplier is not None and multiplier.is_zero():
+        raise ConfigError("multiplier must be nonzero")
     cases = run_all(multiplier)
     width = max(len(c.name) for c in cases)
     all_ok = True

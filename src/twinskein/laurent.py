@@ -45,11 +45,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _ONE
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
@@ -91,6 +91,10 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         acc = dict(self._terms)
         for e, c in other._terms.items():
             s = acc.get(e, 0) + c
@@ -248,6 +252,10 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"
 
+
+# Values are immutable, so zero() and one() share these.
+_ZERO = LaurentPoly()
+_ONE = LaurentPoly({0: 1})
 
 #: The skein multiplier t - t^-1 used by the twin calculus.
 SKEIN_MULTIPLIER = LaurentPoly({1: 1, -1: -1})

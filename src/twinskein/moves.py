@@ -566,6 +566,21 @@ def _surgery_text(comp: Component) -> list[str]:
     return [f"({g}, {b}/{a})"]
 
 
+def canonical_fingerprint(d: Diagram) -> tuple:
+    """A cheap summary shared by every diagram with the same canonical key.
+
+    It is the mode and the sorted (kind, passage count, over-passage count,
+    surgery or ()) of the components.  None of these change under crossing
+    renumbering, loop order, loop rotation or loop reversal, so equal keys
+    imply equal fingerprints.  Crossing signs stay out, because a loop
+    reversal flips them.
+    """
+    return (d.mode, tuple(sorted(
+        (c.kind, len(c.passages), sum(p.role == OVER for p in c.passages),
+         c.surgery or ())
+        for c in d.components)))
+
+
 def canonicalize(d: Diagram) -> CanonicalForm:
     """Signed canonical form.
 

@@ -28,6 +28,7 @@ from .diagram import (
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .moves import (
+    canonical_fingerprint,
     canonicalize,
     is_split_simplified,
     is_unit_simplified,
@@ -273,6 +274,9 @@ class _Engine:
     def __init__(self, cfg: SkeinConfig):
         self.cfg = cfg
         self.memo: dict[str, LaurentPoly] = {}
+        # fingerprints of the diagrams stored in the memo: a lookup whose
+        # fingerprint is not here cannot hit, so it needs no key
+        self.stored_prints: set[tuple] = set()
         self.stats = SkeinStats()
 
     def _node(self, cf, **fields) -> TraceNode | None:
@@ -285,8 +289,9 @@ class _Engine:
     def run(self, d: Diagram, depth: int
             ) -> tuple[LaurentPoly | None, str | None, TraceNode | None]:
         """(value, unresolved reason, trace node); the node is None unless
-        ``emit_trace`` is on.  The canonical key is computed only where the
-        memo or the trace reads it."""
+        ``emit_trace`` is on.  The canonical key is computed at every node of
+        a trace, at every memo store, and at a memo lookup only when a stored
+        diagram shares the node's fingerprint."""
         fixed, _ = simplify(d)
         stats = self.stats
         stats.nodes_expanded += 1
@@ -306,9 +311,12 @@ class _Engine:
             return value, None, self._node(canonicalize(fixed),
                                            terminal=terminal, value=value)
 
-        cf = canonicalize(fixed) if cfg.use_memo or cfg.emit_trace else None
+        cf = canonicalize(fixed) if cfg.emit_trace else None
         if cfg.use_memo:
-            stored = self.memo.get(cf.key)
+            fp = canonical_fingerprint(fixed)
+            if cf is None and fp in self.stored_prints:
+                cf = canonicalize(fixed)
+            stored = self.memo.get(cf.key) if cf is not None else None
             if stored is not None:
                 stats.memo_hits += 1
                 value = stored if cf.sign > 0 else -stored
@@ -336,6 +344,9 @@ class _Engine:
         contrib = cfg.multiplier * v2
         value = v1 + contrib if s > 0 else v1 - contrib
         if cfg.use_memo:
+            if cf is None:
+                cf = canonicalize(fixed)
+            self.stored_prints.add(fp)
             self.memo.setdefault(cf.key, value if cf.sign > 0 else -value)
         return value, None, self._node(cf, crossing=cid, crossing_sign=s,
                                        value=value, children=children)

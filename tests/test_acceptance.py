@@ -101,3 +101,10 @@ def test_fixture_checks_take_the_multiplier():
     for check in (acceptance.check_tw_giller, acceptance.check_tw_unknot_pair,
                   acceptance.check_giller_two_knot):
         assert not check(one).ok, check.__name__
+
+
+# the corpus leaves the shared zero and one values as they were
+def test_run_all_leaves_zero_and_one_alone():
+    _get("negative-control")
+    assert LaurentPoly.zero().render() == "0"
+    assert LaurentPoly.one().render() == "1"

@@ -240,3 +240,9 @@ class TestCorpus:
                  ln.startswith("result")]
         assert all(ln.startswith("PASS") for ln in lines)
         assert "ms" in lines[0]  # per-case elapsed time is reported
+
+    def test_zero_multiplier_is_refused_before_any_case(self, capsys):
+        code, out, err = run(capsys, "corpus", "--multiplier", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: multiplier must be nonzero\n"

@@ -51,6 +51,13 @@ class TestBasics:
         assert not P({0: 1, 1: -2}).is_symmetric()
         assert ZERO.is_symmetric()
 
+    def test_zero_and_one_are_shared(self):
+        assert LaurentPoly.zero() is ZERO and LaurentPoly.one() is ONE
+        p = P({3: 2, -1: 5})
+        assert ZERO + p is p and p + ZERO is p
+        assert ONE + ONE == P({0: 2}) and ONE - ONE == ZERO
+        assert ZERO.render() == "0" and ONE.render() == "1"
+
     def test_no_zero_coefficients_stored(self):
         assert P({5: 0, 1: 2}).pairs() == ((1, 2),)
 

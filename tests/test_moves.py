@@ -18,6 +18,7 @@ from twinskein.diagram import (
     parse,
     random_diagram,
     reverse_component,
+    rotate_loop,
     serialize,
     validate,
 )
@@ -38,6 +39,7 @@ from twinskein.moves import (
     apply_r3,
     CanonicalForm,
     apply_welded_commute,
+    canonical_fingerprint,
     canonicalize,
     find_f_moves,
     find_r1_moves,
@@ -803,3 +805,56 @@ class TestCanonicalizeAgainstBruteForce:
             kinds.update(classify_crossing(d, cid) for cid in d.crossings)
             assert canonicalize(d) == brute_force_canonicalize(d), serialize(d)
         assert {"loop_self", "loop_loop", "arc_loop"} <= kinds
+
+
+def _renumbered(d: Diagram, rng) -> Diagram:
+    """The same diagram with its crossings renumbered at random and its
+    loops in a shuffled order."""
+    ids = list(d.crossings)
+    new_ids = rng.sample(range(1, 10 * len(ids) + 2), len(ids))
+    renum = dict(zip(ids, new_ids))
+    comps = [replace(c, passages=tuple(replace(p, crossing=renum[p.crossing])
+                                       for p in c.passages))
+             for c in d.components]
+    arcs = [c for c in comps if c.is_arc]
+    loops = [c for c in comps if c.is_loop]
+    rng.shuffle(loops)
+    return Diagram(d.mode, tuple(arcs + loops),
+                   {renum[c]: s for c, s in d.crossings.items()})
+
+
+class TestCanonicalFingerprint:
+    def test_equal_keys_have_equal_fingerprints(self, rng):
+        surgeries = (None, DEFAULT_SURGERY, (2, 1, 3))
+        prints_by_key: dict[str, set] = {}
+        for i in range(300):
+            d = random_diagram(rng, max_crossings=5,
+                               mode=TWO_KNOT if i % 4 == 3 else TWIN,
+                               n_loops=i % 4, two_arcs=i % 2 == 1)
+            d = d.with_components(tuple(
+                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+                for c in d.components))
+            variants = [d, _renumbered(d, rng)]
+            moved = variants[-1]
+            for loop in moved.loops():
+                moved = rotate_loop(moved, loop.label,
+                                    rng.randrange(max(1, len(loop.passages))))
+                if rng.random() < 0.5:
+                    moved = reverse_component(moved, loop.label)
+                variants.append(moved)
+            key = canonicalize(d).key
+            for v in variants:
+                assert canonicalize(v).key == key, serialize(v)
+                prints_by_key.setdefault(key, set()).add(
+                    canonical_fingerprint(v))
+        assert all(len(fps) == 1 for fps in prints_by_key.values())
+        # the fingerprint is coarser than the key, but not trivial
+        distinct = {fp for fps in prints_by_key.values() for fp in fps}
+        assert 50 < len(distinct) < len(prints_by_key)
+
+    def test_signs_and_numbering_stay_out(self):
+        d = parse("twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; }")
+        flipped = parse("twin { arc A: O5- O7+ ; arc B: ; loop T: U7+ U5- ; }")
+        assert canonical_fingerprint(d) == canonical_fingerprint(flipped)
+        assert canonical_fingerprint(d) != canonical_fingerprint(
+            parse("twin { arc A: O1+ U2- ; arc B: ; loop T: O2- U1+ ; }"))

@@ -5,10 +5,12 @@ import pytest
 from twinskein.diagram import (
     Diagram,
     DiagramError,
+    TWIN,
     TWO_KNOT,
     parse,
     random_diagram,
     reverse_component,
+    serialize,
 )
 from twinskein.laurent import LaurentPoly, SKEIN_MULTIPLIER
 from twinskein.moves import (
@@ -21,13 +23,22 @@ from twinskein.moves import (
     find_r1_moves,
     find_r2_moves,
     find_r3_moves,
+    is_split_simplified,
+    is_unit_simplified,
+    simplify,
 )
 from twinskein.skein import (
+    MEMO,
+    SPLIT,
+    STANDARD,
+    UNKNOTTED,
+    UNRESOLVED,
     NoEligibleCrossing,
     SkeinConfig,
     SurgeryLabelError,
     UnsupportedLoopSmoothing,
     UnsupportedRibbonIntersection,
+    _Engine,
     choose_crossing,
     evaluate,
     export_trace,
@@ -190,7 +201,6 @@ class TestEvaluate:
     def test_canonical_keys_only_where_memo_or_trace_reads_them(
             self, monkeypatch, rng):
         import twinskein.skein as skein
-        from twinskein.moves import is_split_simplified, is_unit_simplified
         seen = []
 
         def counting(d):
@@ -334,6 +344,125 @@ class TestPassageIndex:
         self._evaluate_all(_fixture_diagrams() + _random_diagrams(rng, 300))
         assert len(builds) > 1000
         assert max(builds.values()) == 1
+
+
+class _UngatedEngine(_Engine):
+    """The engine as it was before lookups were gated by fingerprint: a key
+    at every internal node whenever the memo or a trace is on."""
+
+    def run(self, d, depth):
+        fixed, _ = simplify(d)
+        stats = self.stats
+        stats.nodes_expanded += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        cfg = self.cfg
+
+        if is_split_simplified(fixed):
+            value, terminal = LaurentPoly.zero(), SPLIT
+        elif is_unit_simplified(fixed):
+            value = LaurentPoly.one()
+            terminal = STANDARD if fixed.mode == TWIN else UNKNOTTED
+        else:
+            terminal = None
+        if terminal is not None:
+            if not cfg.emit_trace:
+                return value, None, None
+            return value, None, self._node(canonicalize(fixed),
+                                           terminal=terminal, value=value)
+
+        cf = canonicalize(fixed) if cfg.use_memo or cfg.emit_trace else None
+        if cfg.use_memo:
+            stored = self.memo.get(cf.key)
+            if stored is not None:
+                stats.memo_hits += 1
+                value = stored if cf.sign > 0 else -stored
+                return value, None, self._node(cf, terminal=MEMO, value=value)
+        if depth >= cfg.depth_budget:
+            return None, "depth-budget-exceeded", self._node(
+                cf, terminal=UNRESOLVED, reason="depth-budget-exceeded")
+        try:
+            cid = choose_crossing(fixed, cfg.strategy)
+        except NoEligibleCrossing as exc:
+            return None, f"no-eligible-crossing: {exc}", self._node(
+                cf, terminal=UNRESOLVED, reason="no-eligible-crossing")
+
+        s = fixed.crossings[cid]
+        v1, r1, n1 = self.run(switch_crossing(fixed, cid), depth + 1)
+        if r1 is not None:
+            return None, r1, self._node(cf, crossing=cid, crossing_sign=s,
+                                        children=(("switch", n1),))
+        v2, r2, n2 = self.run(smooth_crossing(fixed, cid), depth + 1)
+        children = (("switch", n1), ("smooth", n2))
+        if r2 is not None:
+            return None, r2, self._node(cf, crossing=cid, crossing_sign=s,
+                                        children=children)
+        contrib = cfg.multiplier * v2
+        value = v1 + contrib if s > 0 else v1 - contrib
+        if cfg.use_memo:
+            self.memo.setdefault(cf.key, value if cf.sign > 0 else -value)
+        return value, None, self._node(cf, crossing=cid, crossing_sign=s,
+                                       value=value, children=children)
+
+
+def _outcome(engine_cls, d: Diagram, cfg: SkeinConfig):
+    """(value, reason, stats, trace, memo entries in order) of one run, or
+    the exception."""
+    engine = engine_cls(cfg)
+    try:
+        value, reason, trace = engine.run(d, 0)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+    return value, reason, engine.stats, trace, list(engine.memo.items())
+
+
+def _spun_table() -> list[Diagram]:
+    from twinskein.constructions import artin_spin, table_knot, table_names
+    out = []
+    for name in table_names():
+        code = table_knot(name)
+        out += [artin_spin(code, cut_at=cut)
+                for cut in range(max(1, len(code.passages)))]
+    return out
+
+
+class TestGatedMemo:
+    CONFIGS = (SkeinConfig(),
+               SkeinConfig(depth_budget=24, emit_trace=True),
+               SkeinConfig(depth_budget=24, emit_trace=True,
+                           strategy="first_eligible"))
+
+    def test_matches_the_ungated_engine(self, rng):
+        cases = [(d, cfg) for d in _fixture_diagrams() + _random_diagrams(
+                     rng, 300) for cfg in self.CONFIGS]
+        cases += [(d, self.CONFIGS[0]) for d in _spun_table()]
+        hits = traced = 0
+        for d, cfg in cases:
+            # trace nodes compare field by field, so equal traces export
+            # equal JSON and DOT
+            got = _outcome(_Engine, d, cfg)
+            assert got == _outcome(_UngatedEngine, d, cfg), serialize(d)
+            if len(got) == 5:
+                hits += got[2].memo_hits
+                traced += got[3] is not None
+        assert hits > 100 and traced > 500
+
+    def test_unresolved_run_writes_no_key(self, monkeypatch):
+        import twinskein.skein as skein
+        from importlib import resources
+        keyed = []
+
+        def counting(d):
+            keyed.append(d)
+            return canonicalize(d)
+
+        monkeypatch.setattr(skein, "canonicalize", counting)
+        text = (resources.files("twinskein") / "fixtures" / "tw_giller.twin") \
+            .read_text()
+        r = evaluate(parse(text), SkeinConfig(strategy="first_eligible",
+                                              depth_budget=8))
+        assert r.unresolved_reason == "depth-budget-exceeded"
+        assert r.stats.nodes_expanded == 9
+        assert keyed == []
 
 
 class TestProperties:
