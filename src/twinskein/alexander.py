@@ -50,9 +50,6 @@ class LinkCode:
     def from_knot(cls, k: ClassicalKnotCode) -> "LinkCode":
         return cls((k.passages,), dict(k.crossings))
 
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
 
 def braid_closure(word: list[int], strands: int | None = None) -> LinkCode:
     """Close a braid word into a link code.

@@ -138,8 +138,6 @@ def cmd_spin(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.suite != "acceptance":
-        raise DiagramError(f"unknown suite {args.suite!r}")
     multiplier = (LaurentPoly.parse(args.multiplier)
                   if args.multiplier is not None else None)
     if multiplier is not None and multiplier.is_zero():
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spin)
 
     p = sub.add_parser("corpus", help="run the bundled acceptance corpus")
-    p.add_argument("--suite", default="acceptance")
+    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--multiplier", default=None,
                    help="override the skein multiplier for the value criteria "
                         "(perturbation sanity: anything but the default "

@@ -53,9 +53,6 @@ class ClassicalKnotCode:
     def __post_init__(self) -> None:
         check_gauss_roles((self.passages,), self.crossings)
 
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
 
 def artin_spin(k: ClassicalKnotCode, cut_at: int = 0) -> Diagram:
     """Spin a classical knot into a twin: the knot's code, opened at

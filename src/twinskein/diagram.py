@@ -20,7 +20,7 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 OVER = "O"
 UNDER = "U"
@@ -91,17 +91,11 @@ class Diagram:
 
     # -- helpers -------------------------------------------------------
 
-    def arcs(self) -> tuple[Component, ...]:
-        return tuple(c for c in self.components if c.is_arc)
-
     def loops(self) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.is_loop)
 
     def component(self, label: str) -> Component:
-        for c in self.components:
-            if c.label == label:
-                return c
-        raise DiagramError(f"no component labelled {label!r}")
+        return self.components[self.component_index(label)]
 
     def component_index(self, label: str) -> int:
         for i, c in enumerate(self.components):
@@ -119,22 +113,6 @@ class Diagram:
         if index is None:
             index = self.__dict__["_slot_index"] = _build_slot_index(self)
         return index
-
-    def passage_slots(self, crossing: int) -> list[tuple[int, int]]:
-        """All (component index, position) slots holding a passage of `crossing`."""
-        return list(self.slot_index().get(crossing, ()))
-
-    def crossing_count(self) -> int:
-        return len(self.crossings)
-
-    def sign(self, crossing: int) -> int:
-        try:
-            return self.crossings[crossing]
-        except KeyError:
-            raise DiagramError(f"unknown crossing id {crossing}") from None
-
-    def with_components(self, components: tuple[Component, ...]) -> "Diagram":
-        return replace(self, components=components)
 
 
 def _build_slot_index(d: Diagram) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -159,9 +137,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(v.code for v in self.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +258,7 @@ def parse(text: str, strict: bool = True) -> Diagram:
                 break
             ln, col = ts.where()
             word = ts.take()
-            if len(word) < 2 or word[0] not in (OVER, UNDER) or not word[1:].isdigit():
+            if len(word) < 2 or word[0] not in (OVER, UNDER) or not word[1:].isdecimal():
                 raise ParseError(f"bad passage token {word!r}", ln, col)
             role, cid = word[0], int(word[1:])
             sign_tok = ts.take()
@@ -320,7 +295,7 @@ def _int_token(ts: _TokenStream) -> int:
         neg = True
     ln, col = ts.where()
     tok = ts.take()
-    if not tok.isdigit():
+    if not tok.isdecimal():
         raise ParseError(f"expected integer, found {tok!r}", ln, col)
     return -int(tok) if neg else int(tok)
 
@@ -330,15 +305,24 @@ def _int_token(ts: _TokenStream) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _component_sort_key(c: Component) -> tuple[int, str]:
-    rank = {TWIN_ARC: 0, KNOT_ARC: 0, LOOP: 1}[c.kind]
-    return (rank, c.label)
+def walk_order(d: Diagram) -> list[Component]:
+    """The components in reading order: the arcs, then the loops, each by
+    label."""
+    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
+    loops = sorted((c for c in d.components if c.is_loop), key=lambda c: c.label)
+    return arcs + loops
+
+
+def surgery_text(surgery: tuple[int, int, int]) -> str:
+    """The text form ``(gamma, beta/alpha)`` of a surgery label."""
+    g, b, a = surgery
+    return f"({g}, {b}/{a})"
 
 
 def normalize(d: Diagram) -> Diagram:
-    """Sort components (arcs first, then loops by label) and renumber
-    crossings 1..n in first-appearance order."""
-    comps = tuple(sorted(d.components, key=_component_sort_key))
+    """Put the components in walk order and renumber crossings 1..n in
+    first-appearance order."""
+    comps = tuple(walk_order(d))
     renum: dict[int, int] = {}
     for comp in comps:
         for p in comp.passages:
@@ -365,28 +349,10 @@ def serialize(d: Diagram) -> str:
         for p in comp.passages:
             parts.append(p.token(nd.crossings[p.crossing]))
         if comp.surgery is not None:
-            g, b, a = comp.surgery
-            parts.append(f"({g}, {b}/{a})")
+            parts.append(surgery_text(comp.surgery))
         parts.append(";")
     parts.append("}")
     return " ".join(parts)
-
-
-def to_json(d: Diagram) -> dict:
-    """JSON-ready mirror of the Diagram type."""
-    return {
-        "mode": d.mode,
-        "components": [
-            {
-                "kind": c.kind,
-                "label": c.label,
-                "passages": [[p.role, p.crossing] for p in c.passages],
-                "surgery": list(c.surgery) if c.surgery is not None else None,
-            }
-            for c in d.components
-        ],
-        "crossings": {str(cid): s for cid, s in sorted(d.crossings.items())},
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +399,12 @@ def validate(d: Diagram) -> ValidationReport:
                     f"{c.label}[{i}]"))
             roles.setdefault(p.crossing, []).append((p.role, c.label, i))
 
-    for cid in sorted(d.crossings):
+    for cid, sign in sorted(d.crossings.items()):
+        if sign not in (1, -1):
+            violations.append(Violation(
+                "crossing-sign",
+                f"crossing {cid} has sign {sign}; a sign is +1 or -1",
+                f"crossing {cid}"))
         occ = roles.get(cid, [])
         if sorted(r for r, _, _ in occ) != [OVER, UNDER]:
             where = ", ".join(f"{lab}[{i}]" for _, lab, i in occ) or "nowhere"
@@ -472,6 +443,15 @@ def classify_crossing(d: Diagram, crossing: int) -> str:
     return LOOP_SELF if ci1 == ci2 else LOOP_LOOP
 
 
+def met_once(comp: Component) -> list[int]:
+    """The crossings the component passes exactly once, in order of passage:
+    the crossings whose sign a reversal of the component flips."""
+    met: dict[int, int] = {}
+    for p in comp.passages:
+        met[p.crossing] = met.get(p.crossing, 0) + 1
+    return [cid for cid, n in met.items() if n == 1]
+
+
 def reverse_component(d: Diagram, label: str) -> Diagram:
     """Reverse one component's orientation.
 
@@ -480,13 +460,9 @@ def reverse_component(d: Diagram, label: str) -> Diagram:
     """
     idx = d.component_index(label)
     comp = d.components[idx]
-    counts: dict[int, int] = {}
-    for p in comp.passages:
-        counts[p.crossing] = counts.get(p.crossing, 0) + 1
     new_signs = dict(d.crossings)
-    for cid, n in counts.items():
-        if n == 1:
-            new_signs[cid] = -new_signs[cid]
+    for cid in met_once(comp):
+        new_signs[cid] = -new_signs[cid]
     new_comp = Component(comp.kind, comp.label, tuple(reversed(comp.passages)),
                          comp.surgery)
     comps = d.components[:idx] + (new_comp,) + d.components[idx + 1:]

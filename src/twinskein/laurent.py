@@ -52,10 +52,6 @@ class LaurentPoly:
         return _ONE
 
     @classmethod
-    def constant(cls, c: int) -> "LaurentPoly":
-        return cls({0: c})
-
-    @classmethod
     def var_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
         """The monomial coeff * t^exp."""
         return cls({exp: coeff})
@@ -66,9 +62,6 @@ class LaurentPoly:
         """Terms as (exponent, coefficient) pairs sorted by exponent."""
         return tuple(sorted(self._terms.items()))
 
-    def coefficient(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -76,11 +69,6 @@ class LaurentPoly:
         if not self._terms:
             raise LaurentError("zero polynomial has no exponents")
         return min(self._terms)
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise LaurentError("zero polynomial has no exponents")
-        return max(self._terms)
 
     def is_symmetric(self) -> bool:
         """True iff the coefficient of t^e equals the coefficient of t^-e for all e."""
@@ -150,10 +138,6 @@ class LaurentPoly:
     def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly({e: c * k for e, k in self._terms.items()})
 
-    def substitute_square(self) -> "LaurentPoly":
-        """Double every exponent: p(t) -> p(t^2)."""
-        return LaurentPoly({2 * e: c for e, c in self._terms.items()})
-
     def substitute(self, value: "LaurentPoly") -> "LaurentPoly":
         """Evaluate at another polynomial.  Requires nonnegative exponents."""
         if self._terms and self.min_exponent() < 0:
@@ -175,7 +159,7 @@ class LaurentPoly:
             self._hash = hash(self.pairs())
         return self._hash
 
-    # -- text and JSON forms --------------------------------------------
+    # -- text forms -------------------------------------------------
 
     def render(self, var: str = "t") -> str:
         """Canonical text: increasing exponents, explicit signs, `0` for zero.
@@ -244,10 +228,6 @@ class LaurentPoly:
                 exp = int(m.group("exp"))
             terms[exp] = terms.get(exp, 0) + sign * coeff
         return cls(terms)
-
-    def to_json(self) -> list[list[int]]:
-        """JSON form: a list of [exponent, coefficient] pairs sorted by exponent."""
-        return [[e, c] for e, c in self.pairs()]
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.render()!r})"

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagram import (
+    ARC_ARC,
     Component,
     Diagram,
     DiagramError,
@@ -23,6 +24,9 @@ from .diagram import (
     TWIN,
     TWIN_ARC,
     UNDER,
+    classify_crossing,
+    met_once,
+    surgery_text,
 )
 
 R1 = "R1"
@@ -43,13 +47,6 @@ class MoveEvent:
     move_kind: str
     crossings: tuple[int, ...]
     position: tuple[str, int]
-
-    def to_json(self) -> dict:
-        return {
-            "move": self.move_kind,
-            "crossings": list(self.crossings),
-            "position": [self.position[0], self.position[1]],
-        }
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def apply_f_move(d: Diagram, crossing: int) -> Diagram:
         raise MoveError(f"unknown crossing id {crossing}")
     (c1, p1), (c2, p2) = slots
     comp1, comp2 = d.components[c1], d.components[c2]
-    if c1 == c2 or comp1.kind != "twin_arc" or comp2.kind != "twin_arc":
+    if c1 == c2 or comp1.kind != TWIN_ARC or comp2.kind != TWIN_ARC:
         raise MoveError("the crossing must join the two twin arcs")
     at_plus = p1 == 0 and p2 == 0
     at_minus = (p1 == len(comp1.passages) - 1 and p2 == len(comp2.passages) - 1)
@@ -467,13 +464,10 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:
         for cid in sorted(d.crossings):
-            slots = index.get(cid, ())
-            if len(slots) != 2:
+            if classify_crossing(d, cid) != ARC_ARC:
                 continue
-            (c1, p1), (c2, p2) = slots
+            (c1, p1), (c2, p2) = index[cid]
             comp1, comp2 = d.components[c1], d.components[c2]
-            if c1 == c2 or comp1.kind != "twin_arc" or comp2.kind != "twin_arc":
-                continue
             for t1, t2 in ((0, 0), (len(comp1.passages) - 1,
                                     len(comp2.passages) - 1)):
                 plan1 = _reach(comp1, runs[c1], p1, t1)
@@ -507,10 +501,6 @@ def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
         d, ev = red
         events.append(ev)
     return d, tuple(events)
-
-
-def events_to_json(events: tuple[MoveEvent, ...]) -> list[dict]:
-    return [e.to_json() for e in events]
 
 
 # ---------------------------------------------------------------------------
@@ -559,13 +549,6 @@ def is_split(d: Diagram) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _surgery_text(comp: Component) -> list[str]:
-    if comp.surgery is None:
-        return []
-    g, b, a = comp.surgery
-    return [f"({g}, {b}/{a})"]
-
-
 def canonical_fingerprint(d: Diagram) -> tuple:
     """A cheap summary shared by every diagram with the same canonical key.
 
@@ -612,12 +595,7 @@ def canonicalize(d: Diagram) -> CanonicalForm:
             arc_number.setdefault(p.crossing, len(arc_number) + 1)
     arc_cids = [p.crossing for comp in arcs for p in comp.passages]
     # reversing a loop flips the crossings it meets exactly once
-    flips = []
-    for lp in loops:
-        met: dict[int, int] = {}
-        for p in lp.passages:
-            met[p.crossing] = met.get(p.crossing, 0) + 1
-        flips.append([cid for cid, n in met.items() if n == 1])
+    flips = [met_once(lp) for lp in loops]
 
     best_marks: str | None = None
     masks: list[tuple[int, int, dict[int, str]]] = []  # (n_rev, mask, marks)
@@ -643,11 +621,13 @@ def canonicalize(d: Diagram) -> CanonicalForm:
         parts.append(f"{label}:")
         parts.extend(f"{p.role}{arc_number[p.crossing]}{marks[p.crossing]}"
                      for p in comp.passages)
-        parts.extend(_surgery_text(comp))
+        if comp.surgery is not None:
+            parts.append(surgery_text(comp.surgery))
         parts.append(";")
     prefix = " ".join(parts)
 
-    surgeries = [_surgery_text(lp) for lp in loops]
+    surgeries = [[surgery_text(lp.surgery)] if lp.surgery is not None else []
+                 for lp in loops]
     # partial candidates: (n_rev, rots, perm, mask, marks, numbering, texts)
     beam = [(n_rev, (), (), mask, marks, arc_number, [])
             for n_rev, mask, marks in masks]

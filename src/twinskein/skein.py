@@ -16,15 +16,20 @@ import json
 from dataclasses import dataclass, field
 
 from .diagram import (
+    ARC_ARC,
     ARC_LOOP,
     ARC_SELF,
     Component,
     DEFAULT_SURGERY,
     Diagram,
     DiagramError,
+    LOOP,
     TWIN,
+    UNDER,
     classify_crossing,
+    surgery_text,
     validate,
+    walk_order,
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .moves import (
@@ -167,7 +172,7 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
     just after its own passage of the crossing.
     """
     kind = classify_crossing(d, crossing)
-    if kind == "arc_arc":
+    if kind == ARC_ARC:
         raise UnsupportedRibbonIntersection(
             f"crossing {crossing} joins the two twin arcs; pairwise ribbon "
             f"intersections cannot be smoothed")
@@ -185,7 +190,7 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
         between = arc.passages[i + 1:j]
         remainder = arc.passages[:i] + arc.passages[j + 1:]
         new_arc = Component(arc.kind, arc.label, remainder, arc.surgery)
-        new_loop = Component("loop", _fresh_loop_label(d), between,
+        new_loop = Component(LOOP, _fresh_loop_label(d), between,
                              DEFAULT_SURGERY)
         comps = (d.components[:ci] + (new_arc,) + d.components[ci + 1:]
                  + (new_loop,))
@@ -220,39 +225,33 @@ def eligible_crossings(d: Diagram) -> list[int]:
             if classify_crossing(d, cid) in (ARC_SELF, ARC_LOOP)]
 
 
-def _walk_order(d: Diagram) -> list[Component]:
-    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
-    loops = sorted((c for c in d.components if c.is_loop), key=lambda c: c.label)
-    return arcs + loops
-
-
 def choose_crossing(d: Diagram, strategy: str = DESCENDING) -> int:
-    """Pick the crossing to resolve.
+    """Pick the crossing to resolve, walking the components in walk order.
 
-    descending: walking the arcs then the loops, return the first eligible
-    crossing first met at an under-passage (switching it moves the diagram
-    toward descending); fall back to the first eligible crossing met.
-    first_eligible: the first eligible crossing in walk order.
+    descending: the first eligible crossing first met at an under-passage
+    (switching it moves the diagram toward descending); failing that, the
+    first eligible crossing met.
+    first_eligible: the first eligible crossing met.
     """
-    eligible = set(eligible_crossings(d))
-    if not eligible:
+    met: set[int] = set()
+    first = None
+    for comp in walk_order(d):
+        for p in comp.passages:
+            cid = p.crossing
+            if cid in met:
+                continue
+            met.add(cid)
+            if classify_crossing(d, cid) not in (ARC_SELF, ARC_LOOP):
+                continue
+            if p.role == UNDER or strategy == FIRST_ELIGIBLE:
+                return cid
+            if first is None:
+                first = cid
+    if first is None:
         raise NoEligibleCrossing(
             "no arc-self or arc-loop crossing remains (only pairwise or "
             "loop-internal crossings)")
-    first_role: dict[int, str] = {}
-    order: list[int] = []
-    for comp in _walk_order(d):
-        for p in comp.passages:
-            if p.crossing not in first_role:
-                first_role[p.crossing] = p.role
-                order.append(p.crossing)
-    eligible_in_order = [cid for cid in order if cid in eligible]
-    if strategy == FIRST_ELIGIBLE:
-        return eligible_in_order[0]
-    for cid in eligible_in_order:
-        if first_role[cid] == "U":
-            return cid
-    return eligible_in_order[0]
+    return first
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +262,10 @@ def choose_crossing(d: Diagram, strategy: str = DESCENDING) -> int:
 def _check_surgery_labels(d: Diagram) -> None:
     for c in d.components:
         if c.is_loop and c.surgery is not None and c.surgery != DEFAULT_SURGERY:
-            g, b, a = c.surgery
             raise SurgeryLabelError(
-                f"loop {c.label!r} carries surgery label ({g}, {b}/{a}); the "
-                f"skein relations are derived only for the default "
-                f"(0, 0/1) label")
+                f"loop {c.label!r} carries surgery label "
+                f"{surgery_text(c.surgery)}; the skein relations are derived "
+                f"only for the default (0, 0/1) label")
 
 
 class _Engine:

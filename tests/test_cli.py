@@ -27,6 +27,21 @@ class TestValidate:
         assert code == 1
         assert "role-pairing" in out
 
+    @pytest.mark.parametrize("command", ["validate", "invariant"])
+    @pytest.mark.parametrize("text", [
+        "twin { arc A: O\u00b2+ U2+ ; arc B: ; }\n",
+        "twin { arc A: ; arc B: ; loop T: (0, \u00b2/1) ; }\n",
+    ], ids=["passage", "surgery"])
+    def test_superscript_digit_is_a_parse_error(self, capsys, tmp_path,
+                                                command, text):
+        f = tmp_path / "sup.twin"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ")
+        assert "(line 1, column" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.twin")
         assert code == 2
@@ -246,3 +261,11 @@ class TestCorpus:
         assert code == 2
         assert out == ""
         assert err == "error: multiplier must be nonzero\n"
+
+    def test_unknown_suite_is_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus", "--suite", "foo"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'foo'" in captured.err

@@ -106,13 +106,13 @@ class TestTwinClosure:
 class TestConnectSum:
     def test_crossingless_input(self):
         out = connect_sum_twin(parse("knot { arc K: ; }"))
-        assert out.crossing_count() == 0
+        assert len(out.crossings) == 0
         assert is_standard_twin(out)
 
     def test_quadruples_crossings(self):
         d = parse("knot { arc K: O1+ U2+ O3+ U1+ O2+ U3+ ; }")
         out = connect_sum_twin(d)
-        assert out.crossing_count() == 12
+        assert len(out.crossings) == 12
         assert validate(out).ok
 
     def test_sign_pattern(self):
@@ -128,7 +128,7 @@ class TestConnectSum:
             d = random_diagram(rng, mode="two_knot", n_loops=0)
             out = connect_sum_twin(d)
             assert validate(out).ok
-            assert out.crossing_count() == 4 * d.crossing_count()
+            assert len(out.crossings) == 4 * len(d.crossings)
 
     def test_rejects_loops(self):
         with pytest.raises(DiagramError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from twinskein.diagram import (
@@ -7,6 +9,7 @@ from twinskein.diagram import (
     Component,
     Diagram,
     DiagramError,
+    LOOP,
     LOOP_LOOP,
     LOOP_SELF,
     ParseError,
@@ -14,23 +17,27 @@ from twinskein.diagram import (
     TWIN,
     TWIN_ARC,
     classify_crossing,
+    met_once,
     normalize,
     parse,
     random_diagram,
     reverse_component,
     serialize,
-    to_json,
     validate,
 )
 
 STD = "twin { arc A: ; arc B: ; }"
 
 
+def codes(d: Diagram) -> list[str]:
+    return [v.code for v in validate(d).violations]
+
+
 class TestParse:
     def test_standard_twin(self):
         d = parse(STD)
         assert d.mode == TWIN
-        assert len(d.arcs()) == 2
+        assert [c.kind for c in d.components] == [TWIN_ARC, TWIN_ARC]
         assert not d.crossings
 
     def test_kink(self):
@@ -72,6 +79,20 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse("twin { arc A: ; arc A: ; }")
 
+    @pytest.mark.parametrize("text,line,token", [
+        ("twin {\n  arc A: O\u00b2+ U2+ ;\n  arc B: ;\n}", 2, "O\u00b2"),
+        ("twin { arc A: ; arc B: ;\n\n  loop T: (0, \u00b2/1) ; }", 3,
+         "\u00b2"),
+    ], ids=["passage", "surgery"])
+    def test_superscript_digit_is_a_parse_error(self, text, line, token):
+        # str.isdigit accepts a superscript two, int() refuses it
+        assert token[-1].isdigit()
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+        assert exc.value.col == text.splitlines()[line - 1].index(token) + 1
+        assert repr(token) in str(exc.value)
+
     def test_mode_arc_count_enforced(self):
         with pytest.raises(DiagramError, match="mode-arcs"):
             parse("twin { arc A: ; }")
@@ -95,13 +116,6 @@ class TestSerialize:
         text = "twin { arc A: ; arc B: ; loop T: (0, 0/1) ; }"
         assert serialize(parse(text)) == text
 
-    def test_json_mirror(self):
-        d = parse("twin { arc A: O1+ U1+ ; arc B: ; loop T: (0, 0/1) ; }")
-        j = to_json(d)
-        assert j["mode"] == "twin"
-        assert j["crossings"] == {"1": 1}
-        assert j["components"][2]["surgery"] == [0, 0, 1]
-
 
 class TestValidate:
     def test_standard_is_valid(self):
@@ -112,22 +126,33 @@ class TestValidate:
             Component(TWIN_ARC, "A", (Passage(1, "O"), Passage(1, "O"))),
             Component(TWIN_ARC, "B", ()),
         ), {1: 1})
-        assert "role-pairing" in validate(d).codes()
+        assert "role-pairing" in codes(d)
 
     def test_surgery_on_arc(self):
         d = Diagram(TWIN, (
             Component(TWIN_ARC, "A", (), surgery=(0, 0, 1)),
             Component(TWIN_ARC, "B", ()),
         ), {})
-        assert "surgery-on-arc" in validate(d).codes()
+        assert "surgery-on-arc" in codes(d)
+
+    @pytest.mark.parametrize("sign", [0, 2, -7])
+    def test_crossing_sign_other_than_one(self, sign):
+        d = Diagram(TWIN, (
+            Component(TWIN_ARC, "A", (Passage(1, "O"), Passage(2, "O"))),
+            Component(TWIN_ARC, "B", ()),
+            Component(LOOP, "T", (Passage(1, "U"), Passage(2, "U"))),
+        ), {1: sign, 2: -1})
+        (v,) = validate(d).violations
+        assert (v.code, v.location) == ("crossing-sign", "crossing 1")
+        assert str(sign) in v.message
+        assert validate(replace(d, crossings={1: 1, 2: -1})).ok
 
     def test_unknown_crossing(self):
         d = Diagram(TWIN, (
             Component(TWIN_ARC, "A", (Passage(3, "O"), Passage(3, "U"))),
             Component(TWIN_ARC, "B", ()),
         ), {})
-        codes = validate(d).codes()
-        assert "unknown-crossing" in codes
+        assert "unknown-crossing" in codes(d)
 
 
 class TestClassify:
@@ -195,3 +220,16 @@ class TestReverse:
     def test_unknown_label(self):
         with pytest.raises(DiagramError):
             reverse_component(parse(STD), "Z")
+
+
+class TestMetOnce:
+    def test_met_once_matches_a_count(self, rng):
+        # the count reverse_component and canonicalize each kept before
+        for i in range(200):
+            d = random_diagram(rng, n_loops=i % 4, two_arcs=i % 2 == 1)
+            for comp in d.components:
+                counts: dict[int, int] = {}
+                for p in comp.passages:
+                    counts[p.crossing] = counts.get(p.crossing, 0) + 1
+                assert met_once(comp) == [
+                    cid for cid, n in counts.items() if n == 1]

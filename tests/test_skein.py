@@ -1,16 +1,21 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from twinskein.diagram import (
     Diagram,
     DiagramError,
+    KNOT_ARC,
+    LOOP,
     TWIN,
+    TWIN_ARC,
     TWO_KNOT,
     parse,
     random_diagram,
     reverse_component,
     serialize,
+    walk_order,
 )
 from twinskein.laurent import LaurentPoly, SKEIN_MULTIPLIER
 from twinskein.moves import (
@@ -28,6 +33,7 @@ from twinskein.moves import (
     simplify,
 )
 from twinskein.skein import (
+    FIRST_ELIGIBLE,
     MEMO,
     SPLIT,
     STANDARD,
@@ -40,6 +46,7 @@ from twinskein.skein import (
     UnsupportedRibbonIntersection,
     _Engine,
     choose_crossing,
+    eligible_crossings,
     evaluate,
     export_trace,
     smooth_crossing,
@@ -63,7 +70,7 @@ class TestSwitch:
 
     def test_crossing_count_preserved(self):
         d = parse(SPUN_TREFOIL)
-        assert switch_crossing(d, 1).crossing_count() == 3
+        assert len(switch_crossing(d, 1).crossings) == 3
 
     def test_untouched_components_are_kept(self):
         d = parse("twin { arc A: O1+ U2- ; arc B: O3+ ; "
@@ -179,6 +186,12 @@ class TestEvaluate:
         with pytest.raises(DiagramError):
             evaluate(bad)
 
+    @pytest.mark.parametrize("sign", [0, 2, -7])
+    def test_crossing_sign_other_than_one_rejected(self, sign):
+        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
+        with pytest.raises(DiagramError, match="crossing-sign"):
+            evaluate(replace(d, crossings={1: sign}))
+
     def test_unresolved_pairwise_only(self):
         # markers mixed, so the endpoint moves cannot clear the pairwise
         # crossings and no eligible crossing remains
@@ -281,10 +294,11 @@ def _random_diagrams(rng, n: int) -> list[Diagram]:
             for i in range(n)]
 
 
-def _scanned_slots(d: Diagram, crossing: int) -> list[tuple[int, int]]:
-    """passage_slots by a scan of every passage, as it was before the index."""
-    return [(ci, pi) for ci, comp in enumerate(d.components)
-            for pi, p in enumerate(comp.passages) if p.crossing == crossing]
+def _scanned_slots(d: Diagram, crossing: int) -> tuple[tuple[int, int], ...]:
+    """The slots of a crossing by a scan of every passage, as they were
+    found before the index."""
+    return tuple((ci, pi) for ci, comp in enumerate(d.components)
+                 for pi, p in enumerate(comp.passages) if p.crossing == crossing)
 
 
 class TestPassageIndex:
@@ -316,17 +330,18 @@ class TestPassageIndex:
         for d in built:
             absent = max(d.crossings, default=0) + 1
             for cid in [*d.crossings, absent]:
-                assert d.passage_slots(cid) == _scanned_slots(d, cid)
+                assert d.slot_index().get(cid, ()) == _scanned_slots(d, cid)
 
     def test_mutating_the_returned_slots_leaves_the_index_alone(self):
         d = parse(SPUN_TREFOIL)
-        slots = d.passage_slots(2)
+        slots = list(d.slot_index()[2])
         slots.append((9, 9))
         slots.reverse()
-        assert d.passage_slots(2) == _scanned_slots(d, 2) == [(0, 1), (0, 4)]
-        assert d.passage_slots(7) == []
-        d.passage_slots(7).append((0, 0))
-        assert d.passage_slots(7) == []
+        assert d.slot_index()[2] == _scanned_slots(d, 2) == ((0, 1), (0, 4))
+        with pytest.raises(AttributeError):
+            d.slot_index()[2].append((0, 0))
+        assert d.slot_index()[2] == ((0, 1), (0, 4))
+        assert 7 not in d.slot_index()
 
     def test_each_diagram_builds_its_index_at_most_once(self, rng,
                                                         monkeypatch):
@@ -423,6 +438,113 @@ def _spun_table() -> list[Diagram]:
         out += [artin_spin(code, cut_at=cut)
                 for cut in range(max(1, len(code.passages)))]
     return out
+
+
+def _reference_walk_order(d: Diagram):
+    """The walk order as the engine built it before ``walk_order``."""
+    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
+    loops = sorted((c for c in d.components if c.is_loop), key=lambda c: c.label)
+    return arcs + loops
+
+
+def _normal_form_order(d: Diagram):
+    """The component order ``normalize`` sorted by before ``walk_order``."""
+    rank = {TWIN_ARC: 0, KNOT_ARC: 0, LOOP: 1}
+    return sorted(d.components, key=lambda c: (rank[c.kind], c.label))
+
+
+def _reference_choose_crossing(d: Diagram, strategy: str) -> int:
+    """``choose_crossing`` as it was before the one walk: the eligible set,
+    the role of each crossing where the walk first meets it, and the
+    crossings in walk order."""
+    eligible = set(eligible_crossings(d))
+    if not eligible:
+        raise NoEligibleCrossing(
+            "no arc-self or arc-loop crossing remains (only pairwise or "
+            "loop-internal crossings)")
+    first_role: dict[int, str] = {}
+    order: list[int] = []
+    for comp in _reference_walk_order(d):
+        for p in comp.passages:
+            if p.crossing not in first_role:
+                first_role[p.crossing] = p.role
+                order.append(p.crossing)
+    eligible_in_order = [cid for cid in order if cid in eligible]
+    if strategy == FIRST_ELIGIBLE:
+        return eligible_in_order[0]
+    for cid in eligible_in_order:
+        if first_role[cid] == "U":
+            return cid
+    return eligible_in_order[0]
+
+
+def _choice(choose, d: Diagram, strategy: str):
+    """The crossing ``choose`` picks, or the exception it raises."""
+    try:
+        return choose(d, strategy)
+    except DiagramError as exc:
+        return type(exc), str(exc)
+
+
+class TestOneWalkChoice:
+    def _engine_inputs(self, monkeypatch) -> list[Diagram]:
+        """Every diagram the engine hands to choose_crossing while it
+        evaluates the spun table."""
+        import twinskein.skein as skein
+        seen = []
+
+        def recording(d, strategy):
+            seen.append(d)
+            return choose_crossing(d, strategy)
+
+        monkeypatch.setattr(skein, "choose_crossing", recording)
+        for d in _spun_table():
+            evaluate(d)
+        monkeypatch.undo()
+        return seen
+
+    def _random_inputs(self, rng) -> list[Diagram]:
+        """300 seeded random diagrams with 0-3 loops, half with
+        ``two_arcs``; every third one has its components shuffled under
+        fresh labels, so the walk order is not the stored order."""
+        out = []
+        for i in range(300):
+            d = random_diagram(rng, max_crossings=6,
+                               mode=TWO_KNOT if i % 4 == 3 else TWIN,
+                               n_loops=i % 4, two_arcs=i % 2 == 1)
+            if i % 3 == 0:
+                labels = rng.sample(["A", "B", "K", "T1", "T2", "S", "b"],
+                                    len(d.components))
+                comps = [replace(c, label=lab)
+                         for c, lab in zip(d.components, labels)]
+                rng.shuffle(comps)
+                d = replace(d, components=tuple(comps))
+            out.append(d)
+        return out
+
+    def test_picks_what_the_previous_choice_picked(self, rng, monkeypatch):
+        engine = self._engine_inputs(monkeypatch)
+        diagrams = _fixture_diagrams() + engine + self._random_inputs(rng)
+        outcomes = set()
+        for d in diagrams:
+            assert walk_order(d) == _reference_walk_order(d) \
+                == _normal_form_order(d)
+            for strategy in ("descending", FIRST_ELIGIBLE):
+                got = _choice(choose_crossing, d, strategy)
+                assert got == _choice(_reference_choose_crossing, d,
+                                      strategy), (serialize(d), strategy)
+            pick = _choice(choose_crossing, d, "descending")
+            if isinstance(pick, tuple):
+                outcomes.add("raised")
+                continue
+            first_role: dict[int, str] = {}
+            for comp in walk_order(d):
+                for p in comp.passages:
+                    first_role.setdefault(p.crossing, p.role)
+            outcomes.add(first_role[pick])
+        assert len(engine) > 1000
+        # a pick met first under, the fallback and a refusal all occur
+        assert outcomes == {"U", "O", "raised"}
 
 
 class TestGatedMemo:
