@@ -32,8 +32,8 @@ EXIT_IO = 2
 
 
 class ConfigError(Exception):
-    """A flag value the engine refuses (bad depth budget or multiplier), or
-    a flag that needs another one."""
+    """A flag value the program refuses (bad depth budget, multiplier or
+    cut position), or a flag that needs another one."""
 
 
 def _read_input(path: str) -> str:
@@ -119,7 +119,11 @@ def cmd_spin(args) -> int:
     if args.construction == "artin":
         if not args.knot:
             raise DiagramError("--construction artin requires --knot NAME")
-        out = artin_spin(table_knot(args.knot), cut_at=args.cut)
+        code = table_knot(args.knot)
+        try:
+            out = artin_spin(code, cut_at=args.cut)
+        except DiagramError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         if not args.path:
             raise DiagramError(

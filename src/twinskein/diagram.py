@@ -211,7 +211,9 @@ def parse(text: str, strict: bool = True) -> Diagram:
     DiagramError on semantic ones: a crossing id must occur exactly twice,
     once over and once under, with matching sign tokens.  With
     ``strict=False`` the semantic checks are left to ``validate`` and a
-    structurally questionable diagram may be returned for inspection.
+    structurally questionable diagram may be returned for inspection; a
+    crossing with conflicting sign tokens gets sign 0, which ``validate``
+    reports as a ``crossing-sign`` violation.
     """
     ts = _TokenStream(_tokenize(text))
     head = ts.take()
@@ -267,9 +269,11 @@ def parse(text: str, strict: bool = True) -> Diagram:
                 raise ParseError(f"passage {word!r} lacks a sign token", ln2, col2)
             sign = 1 if sign_tok == "+" else -1
             if cid in signs and signs[cid] != sign:
-                raise DiagramError(
-                    f"crossing {cid} carries conflicting sign tokens")
-            signs.setdefault(cid, sign)
+                if strict:
+                    raise DiagramError(
+                        f"crossing {cid} carries conflicting sign tokens")
+                sign = 0
+            signs[cid] = sign
             passages.append(Passage(cid, role))
         ts.take(";")
         components.append(Component(kind, label, tuple(passages), surgery))

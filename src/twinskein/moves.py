@@ -54,8 +54,8 @@ class CanonicalForm:
     """Minimal serialized representative of a diagram's signed equivalence class.
 
     Equal diagrams up to crossing renumbering, loop reordering, loop rotation
-    and loop orientation reversal share a key; the sign is the parity of loop
-    reversals used to reach the representative.
+    and loop orientation reversal share a key; the sign is the parity of the
+    fewest loop reversals that reach the key.
     """
 
     key: str
@@ -570,19 +570,17 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     The key is the lexicographically minimal serialization over crossing
     renumbering, loop ordering, loop rotation and loop orientation reversal
     (components are relabelled canonically so labels carry no information).
-    The sign is the parity of loop reversals used; ties prefer fewer
-    reversals, then lower rotation offsets, then the earlier loop order.
+    The sign is the parity of the fewest loop reversals that reach the key.
 
     The key text is built straight from the passages.  Arcs come first and
     are numbered the same way under every set of loop reversals, so their
-    text (the prefix) differs between those sets only in the sign marks,
-    and only the sets with the least marks can win.  A key is a sequence
-    of parts (a passage token, a surgery text, ``;``) and no part is a
-    prefix of another, so keys compare part by part.  Each loop's text
-    ends in its only ``;``, so the key compares loop by loop: the search
-    keeps, level by level, every partial choice of (loop, rotation) whose
-    text ties for the least, and writes out in full only the choices whose
-    first part ties for the least.
+    text differs between those sets only in the sign marks, and only the
+    sets with the least marks can win.  A key is a sequence of parts (a
+    passage token, a surgery text, ``;``) and no part is a prefix of
+    another, so keys compare part by part.  Each loop's text ends in its
+    only ``;``, so the key compares loop by loop: at each loop position
+    the search writes the text of every choice of unused loop and
+    rotation, and keeps every choice whose text ties for the least.
     """
     arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
     arc_labels = ["A", "B"] if d.mode == TWIN else ["K"]
@@ -598,23 +596,21 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     flips = [met_once(lp) for lp in loops]
 
     best_marks: str | None = None
-    masks: list[tuple[int, int, dict[int, str]]] = []  # (n_rev, mask, marks)
+    masks: list[tuple[int, dict[int, str]]] = []  # (mask, marks)
     unreversed = {cid: "+" if s > 0 else "-" for cid, s in d.crossings.items()}
     for mask in range(1 << n_loops):
         marks = dict(unreversed) if mask else unreversed
-        n_rev = 0
         for li in range(n_loops):
             if mask >> li & 1:
-                n_rev += 1
                 for cid in flips[li]:
                     marks[cid] = "-" if marks[cid] == "+" else "+"
         arc_marks = "".join([marks[cid] for cid in arc_cids])
         if best_marks is None or arc_marks < best_marks:
             best_marks, masks = arc_marks, []
         if arc_marks == best_marks:
-            masks.append((n_rev, mask, marks))
+            masks.append((mask, marks))
 
-    marks = masks[0][2]
+    marks = masks[0][1]
     parts = [TWIN if d.mode == TWIN else "knot", "{"]
     for label, comp in zip(arc_labels, arcs):
         parts.append("arc")
@@ -624,70 +620,40 @@ def canonicalize(d: Diagram) -> CanonicalForm:
         if comp.surgery is not None:
             parts.append(surgery_text(comp.surgery))
         parts.append(";")
-    prefix = " ".join(parts)
 
     surgeries = [[surgery_text(lp.surgery)] if lp.surgery is not None else []
                  for lp in loops]
-    # partial candidates: (n_rev, rots, perm, mask, marks, numbering, texts)
-    beam = [(n_rev, (), (), mask, marks, arc_number, [])
-            for n_rev, mask, marks in masks]
+    # partial choices tied for the least text so far:
+    # (used loops, mask, marks, numbering)
+    beam = [((), mask, marks, arc_number) for mask, marks in masks]
     for level in range(1, n_loops + 1):
-        # choices (candidate, loop, passages, tokens, rotation) whose first
-        # part ties for the least; a token is None where its crossing is
-        # not yet numbered, since its number depends on the rotation
-        best_first: str | None = None
-        choices: list = []
-        for cand in beam:
-            perm, mask, marks, number = cand[2], cand[3], cand[4], cand[5]
+        head = ["loop", f"T{level:03d}:"]
+        best_text: str | None = None
+        grown: list = []
+        for used, mask, marks, number in beam:
             for li in range(n_loops):
-                if li in perm:
+                if li in used:
                     continue
                 seq = loops[li].passages
                 if mask >> li & 1:
                     seq = seq[::-1]
-                toks = [f"{p.role}{number[p.crossing]}{marks[p.crossing]}"
-                        if p.crossing in number else None for p in seq]
-                if seq:
-                    fresh = len(number) + 1
-                    firsts = [tok or f"{p.role}{fresh}{marks[p.crossing]}"
-                              for tok, p in zip(toks, seq)]
-                else:
-                    firsts = [(surgeries[li] or [";"])[0]]
-                least = min(firsts)
-                if best_first is None or least < best_first:
-                    best_first, choices = least, []
-                if least == best_first:
-                    choices.extend((cand, li, seq, toks, rot)
-                                   for rot, first in enumerate(firsts)
-                                   if first == least)
-
-        head = ["loop", f"T{level:03d}:"]
-        best_text: str | None = None
-        grown: list = []
-        for cand, li, seq, toks, rot in choices:
-            n_rev, rots, perm, mask, marks, number, texts = cand
-            new: dict[int, int] = {}
-            if None in toks:
-                nxt = len(number) + 1
-                toks = list(toks)
-                for k in [*range(rot, len(seq)), *range(rot)]:
-                    if toks[k] is None:
-                        cid = seq[k].crossing
-                        if cid not in new:
-                            new[cid] = nxt
-                            nxt += 1
-                        toks[k] = f"{seq[k].role}{new[cid]}{marks[cid]}"
-            text = " ".join(head + toks[rot:] + toks[:rot] + surgeries[li]
-                            + [";"])
-            if best_text is None or text < best_text:
-                best_text, grown = text, []
-            if text == best_text:
-                grown.append((n_rev, rots + (rot,), perm + (li,),
-                              mask, marks,
-                              {**number, **new} if new else number,
-                              texts + [text]))
+                for rot in range(max(1, len(seq))):
+                    new: dict[int, int] = {}
+                    toks = list(head)
+                    for p in seq[rot:] + seq[:rot]:
+                        cid = p.crossing
+                        n = number.get(cid) or new.setdefault(
+                            cid, len(number) + len(new) + 1)
+                        toks.append(f"{p.role}{n}{marks[cid]}")
+                    text = " ".join(toks + surgeries[li] + [";"])
+                    if best_text is None or text < best_text:
+                        best_text, grown = text, []
+                    if text == best_text:
+                        grown.append((used + (li,), mask, marks,
+                                      {**number, **new} if new else number))
+        parts.append(best_text)
         beam = grown
 
-    n_rev, _, _, _, _, _, texts = min(beam, key=lambda s: s[:3])
-    key = " ".join([prefix, *texts, "}"])
-    return CanonicalForm(key, -1 if n_rev % 2 else 1)
+    parts.append("}")
+    n_rev = min(mask.bit_count() for _, mask, _, _ in beam)
+    return CanonicalForm(" ".join(parts), -1 if n_rev % 2 else 1)

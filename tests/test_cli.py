@@ -42,6 +42,15 @@ class TestValidate:
         assert err.startswith("parse error: ")
         assert "(line 1, column" in err
 
+    def test_conflicting_sign_tokens_are_a_violation(self, capsys, tmp_path):
+        bad = tmp_path / "bad.twin"
+        bad.write_text("twin { arc A: O1+ U1- ; arc B: ; }\n")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 1
+        assert out == "crossing-sign: crossing 1 has sign 0; a sign is +1 " \
+                      "or -1 @ crossing 1\n"
+        assert err == ""
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/no/such/file.twin")
         assert code == 2
@@ -245,6 +254,20 @@ class TestSpin:
                            "--construction", "artin", "--cut", "3")
         assert code == 0
         assert out.startswith("twin { arc A: U1+")
+
+    @pytest.mark.parametrize("cut", ["99", "-1"])
+    def test_artin_cut_out_of_range_is_a_config_error(self, capsys, cut):
+        code, out, err = run(capsys, "spin", "--knot", "3_1",
+                             "--construction", "artin", "--cut", cut)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cut position {cut} out of range 0..6\n"
+
+    def test_artin_unknown_knot_is_a_domain_failure(self, capsys):
+        code, out, err = run(capsys, "spin", "--knot", "9_9",
+                             "--construction", "artin", "--cut", "99")
+        assert code == 1
+        assert err.startswith("error: unknown knot '9_9'")
 
 
 class TestCorpus:

@@ -52,6 +52,9 @@ class TestParse:
     def test_sign_mismatch(self):
         with pytest.raises(DiagramError, match="conflicting sign"):
             parse("twin { arc A: O1+ U1- ; arc B: ; }")
+        d = parse("twin { arc A: O1+ U1- ; arc B: ; }", strict=False)
+        (v,) = validate(d).violations
+        assert (v.code, v.location) == ("crossing-sign", "crossing 1")
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError) as exc:

@@ -738,9 +738,9 @@ class TestCanonicalizeAgainstBruteForce:
         d = parse(text)
         assert canonicalize(d) == brute_force_canonicalize(d)
 
-    #: Where pruning on the first part of a loop text could go wrong: loop
-    #: crossings numbered 10 and up (``O10+`` sorts before ``O2+``), empty
-    #: and surgery-labelled loops (``(`` sorts before ``;``, both before a
+    #: Where comparing loop texts could go wrong: loop crossings numbered
+    #: 10 and up (``O10+`` sorts before ``O2+``), empty and
+    #: surgery-labelled loops (``(`` sorts before ``;``, both before a
     #: token), and first parts that tie between rotations of one loop or
     #: between loops.
     PRUNING = [
@@ -795,8 +795,9 @@ class TestCanonicalizeAgainstBruteForce:
         kinds = set()
         surgeries = (None, DEFAULT_SURGERY, (2, 1, 3))
         for i in range(240):
-            d = random_diagram(rng, max_crossings=5, n_loops=i % 4,
-                               two_arcs=True)
+            d = random_diagram(rng, max_crossings=5,
+                               mode=TWO_KNOT if i % 8 >= 4 else TWIN,
+                               n_loops=i % 4, two_arcs=True)
             d = replace(d, components=tuple(
                 replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
                 for c in d.components))
