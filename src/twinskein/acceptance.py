@@ -31,6 +31,11 @@ from .diagram import (
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .moves import (
+    F_MOVE,
+    R1,
+    R2,
+    R3,
+    WELDED_COMMUTE,
     apply_f_move,
     apply_r1,
     apply_r2,
@@ -92,9 +97,7 @@ def _value_case(name: str, fixture: str, expected: LaurentPoly,
                 multiplier: LaurentPoly | None,
                 emit_trace: bool = False) -> tuple[CaseResult, object]:
     """Evaluate a fixture, under ``multiplier`` when one is given."""
-    cfg = SkeinConfig(emit_trace=emit_trace)
-    if multiplier is not None:
-        cfg = SkeinConfig(emit_trace=emit_trace, multiplier=multiplier)
+    cfg = SkeinConfig(multiplier=multiplier, emit_trace=emit_trace)
     d = load_fixture(fixture)
     result, elapsed = _timed(lambda: evaluate(d, cfg))
     ok = result.resolved and result.value == expected
@@ -258,25 +261,40 @@ def _prop_skein_identity(rng) -> int:
     return checked
 
 
+#: The finder and the applier of each move kind.
+_MOVES = {
+    R1: (find_r1_moves, apply_r1),
+    R2: (find_r2_moves, apply_r2),
+    WELDED_COMMUTE: (find_commute_moves, apply_welded_commute),
+    R3: (find_r3_moves, apply_r3),
+    F_MOVE: (find_f_moves, apply_f_move),
+}
+
+
+def _random_moves(rng, d: Diagram, kinds: tuple[str, ...],
+                  steps: int) -> tuple[Diagram, int]:
+    """Apply up to ``steps`` moves, each drawn by ``rng`` from every site
+    the current diagram offers to ``kinds`` (in that order); return the
+    moved diagram and the number of moves applied."""
+    applied = 0
+    for _ in range(steps):
+        options = [(kind, site) for kind in kinds
+                   for site in _MOVES[kind][0](d)]
+        if not options:
+            break
+        kind, site = rng.choice(options)
+        d = _MOVES[kind][1](d, site)
+        applied += 1
+    return d, applied
+
+
 def _prop_move_invariance(rng) -> int:
     checked = 0
     stream = _resolvable_stream(rng)
-    appliers = {"r1": apply_r1, "r2": apply_r2, "oc": apply_welded_commute,
-                "r3": apply_r3}
     while checked < PROPERTY_CASES:
         d, before = next(stream)
-        moved = d
-        for _ in range(rng.randint(1, 3)):
-            options = ([("r1", p) for p in find_r1_moves(moved)]
-                       + [("r2", p) for p in find_r2_moves(moved)]
-                       + [("oc", p) for p in find_commute_moves(moved)]
-                       + [("r3", p) for p in find_r3_moves(moved)]
-                       + [("f", c) for c in find_f_moves(moved)])
-            if not options:
-                break
-            kind, p = rng.choice(options)
-            moved = apply_f_move(moved, p) if kind == "f" else \
-                appliers[kind](moved, p)
+        moved, _ = _random_moves(rng, d, (R1, R2, WELDED_COMMUTE, R3, F_MOVE),
+                                 rng.randint(1, 3))
         after = evaluate(moved, SkeinConfig(depth_budget=24))
         if not after.resolved:
             continue
@@ -353,24 +371,14 @@ def check_conway_oracle() -> CaseResult:
     if conway(table_knot("4_1")) != LaurentPoly({0: 1, 2: -1}):
         problems.append("4_1")
     rng = random.Random(_SEED)
-    appliers = {"r1": apply_r1, "r2": apply_r2, "r3": apply_r3}
     checked = 0
     while checked < 100:
         word = [rng.choice([1, -1, 2, -2, 3, -3])
                 for _ in range(rng.randint(3, 8))]
         link = braid_closure(word)
         base = conway(link)
-        moved = link_to_diagram(link)
-        applied = 0
-        for _ in range(rng.randint(1, 4)):
-            options = ([("r1", p) for p in find_r1_moves(moved)]
-                       + [("r2", p) for p in find_r2_moves(moved)]
-                       + [("r3", p) for p in find_r3_moves(moved)])
-            if not options:
-                break
-            kind, p = rng.choice(options)
-            moved = appliers[kind](moved, p)
-            applied += 1
+        moved, applied = _random_moves(rng, link_to_diagram(link),
+                                       (R1, R2, R3), rng.randint(1, 4))
         if not applied:
             continue
         if conway(diagram_to_link(moved)) != base:

@@ -24,16 +24,11 @@ from .diagram import (
     validate,
 )
 from .laurent import LaurentError, LaurentPoly
-from .skein import SkeinConfig, evaluate, export_trace
+from .skein import ConfigError, SkeinConfig, evaluate, export_trace
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
-
-
-class ConfigError(Exception):
-    """A flag value the program refuses (bad depth budget, multiplier or
-    cut position), or a flag that needs another one."""
 
 
 def _read_input(path: str) -> str:
@@ -58,23 +53,17 @@ def cmd_validate(args) -> int:
     return EXIT_DOMAIN
 
 
+def _multiplier(args) -> LaurentPoly | None:
+    return (LaurentPoly.parse(args.multiplier)
+            if args.multiplier is not None else None)
+
+
 def _skein_config(args) -> SkeinConfig:
     if args.trace_out is not None and args.trace is None:
         raise ConfigError("--trace-out needs --trace json or --trace dot")
-    multiplier = (LaurentPoly.parse(args.multiplier)
-                  if args.multiplier is not None else None)
-    kwargs = dict(
-        depth_budget=args.depth,
-        strategy=args.strategy,
-        emit_trace=args.trace is not None,
-        use_memo=not args.no_memo,
-    )
-    if multiplier is not None:
-        kwargs["multiplier"] = multiplier
-    try:
-        return SkeinConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SkeinConfig(multiplier=_multiplier(args), depth_budget=args.depth,
+                       emit_trace=args.trace is not None,
+                       use_memo=not args.no_memo)
 
 
 def cmd_invariant(args) -> int:
@@ -100,6 +89,8 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_conway(args) -> int:
+    if args.knot is not None and args.path is not None:
+        raise ConfigError("conway takes a knot file or --knot NAME, not both")
     if args.knot:
         code = table_knot(args.knot)
     else:
@@ -117,14 +108,21 @@ def cmd_conway(args) -> int:
 
 def cmd_spin(args) -> int:
     if args.construction == "artin":
+        if args.path is not None:
+            raise ConfigError(
+                "--construction artin takes --knot NAME, not a fixture path")
         if not args.knot:
             raise DiagramError("--construction artin requires --knot NAME")
         code = table_knot(args.knot)
         try:
-            out = artin_spin(code, cut_at=args.cut)
+            out = artin_spin(code, cut_at=args.cut or 0)
         except DiagramError as exc:
             raise ConfigError(str(exc)) from None
     else:
+        for flag, value in (("--knot", args.knot), ("--cut", args.cut)):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} applies only to --construction artin")
         if not args.path:
             raise DiagramError(
                 f"--construction {args.construction} requires a fixture path")
@@ -142,11 +140,8 @@ def cmd_spin(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    multiplier = (LaurentPoly.parse(args.multiplier)
-                  if args.multiplier is not None else None)
-    if multiplier is not None and multiplier.is_zero():
-        raise ConfigError("multiplier must be nonzero")
-    cases = run_all(multiplier)
+    # a refused multiplier raises when the first case builds its config
+    cases = run_all(_multiplier(args))
     width = max(len(c.name) for c in cases)
     all_ok = True
     for c in cases:
@@ -175,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skein multiplier as polynomial text (default t - t^-1)")
     p.add_argument("--depth", type=int, default=64,
                    help="depth budget (1 to 256)")
-    p.add_argument("--strategy", choices=("descending", "first_eligible"),
-                   default="descending")
     p.add_argument("--trace", choices=("json", "dot"), default=None,
                    help="emit the resolution tree")
     p.add_argument("--trace-out", default=None,
@@ -199,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bundled knot name (artin construction)")
     p.add_argument("--construction", required=True,
                    choices=("artin", "closure", "connsum"))
-    p.add_argument("--cut", type=int, default=0,
+    p.add_argument("--cut", type=int, default=None,
                    help="cut position for the artin construction")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(fn=cmd_spin)

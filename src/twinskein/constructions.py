@@ -5,6 +5,7 @@ standard twin.  Also the bundled classical knot table.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -137,24 +138,21 @@ def _require_two_knot(d: Diagram) -> None:
 # bundled knot table
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[str, ClassicalKnotCode] | None = None
 _ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)\s*(knot\s*\{[^{}]*\})")
 
 
+@functools.cache  # the table is read once per process
 def _load_table() -> dict[str, ClassicalKnotCode]:
-    global _TABLE_CACHE
-    if _TABLE_CACHE is None:
-        text = (resources.files("twinskein") / "fixtures" / "knot_table.txt") \
-            .read_text(encoding="utf-8")
-        text = "\n".join(ln for ln in text.splitlines()
-                         if not ln.lstrip().startswith("#"))
-        table: dict[str, ClassicalKnotCode] = {}
-        for name, block in _ENTRY_RE.findall(text):
-            d = parse(block)
-            arc = next(c for c in d.components if c.kind == KNOT_ARC)
-            table[name] = ClassicalKnotCode(arc.passages, dict(d.crossings))
-        _TABLE_CACHE = table
-    return _TABLE_CACHE
+    text = (resources.files("twinskein") / "fixtures" / "knot_table.txt") \
+        .read_text(encoding="utf-8")
+    text = "\n".join(ln for ln in text.splitlines()
+                     if not ln.lstrip().startswith("#"))
+    table: dict[str, ClassicalKnotCode] = {}
+    for name, block in _ENTRY_RE.findall(text):
+        d = parse(block)
+        arc = next(c for c in d.components if c.kind == KNOT_ARC)
+        table[name] = ClassicalKnotCode(arc.passages, dict(d.crossings))
+    return table
 
 
 def table_names() -> tuple[str, ...]:

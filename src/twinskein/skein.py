@@ -13,7 +13,7 @@ guessing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagram import (
     ARC_ARC,
@@ -39,9 +39,6 @@ from .moves import (
     is_unit_simplified,
     simplify,
 )
-
-DESCENDING = "descending"
-FIRST_ELIGIBLE = "first_eligible"
 
 STANDARD = "standard"
 UNKNOTTED = "unknotted"
@@ -72,23 +69,28 @@ class SurgeryLabelError(DiagramError):
     """A loop carries a non-default surgery label; the relations do not apply."""
 
 
+class ConfigError(ValueError):
+    """A configuration value the program refuses."""
+
+
 @dataclass
 class SkeinConfig:
-    multiplier: LaurentPoly = field(default_factory=lambda: SKEIN_MULTIPLIER)
+    """Engine settings.  A multiplier of None means the default t - t^-1."""
+
+    multiplier: LaurentPoly | None = None
     depth_budget: int = 64
-    strategy: str = DESCENDING
     emit_trace: bool = False
     use_memo: bool = True
 
     def __post_init__(self) -> None:
+        if self.multiplier is None:
+            self.multiplier = SKEIN_MULTIPLIER
         if not 1 <= self.depth_budget <= MAX_DEPTH_BUDGET:
-            raise ValueError(
+            raise ConfigError(
                 f"depth_budget must be between 1 and {MAX_DEPTH_BUDGET}, "
                 f"not {self.depth_budget}")
         if self.multiplier.is_zero():
-            raise ValueError("multiplier must be nonzero")
-        if self.strategy not in (DESCENDING, FIRST_ELIGIBLE):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise ConfigError("multiplier must be nonzero")
 
 
 @dataclass(slots=True)
@@ -225,14 +227,11 @@ def eligible_crossings(d: Diagram) -> list[int]:
             if classify_crossing(d, cid) in (ARC_SELF, ARC_LOOP)]
 
 
-def choose_crossing(d: Diagram, strategy: str = DESCENDING) -> int:
-    """Pick the crossing to resolve, walking the components in walk order.
-
-    descending: the first eligible crossing first met at an under-passage
-    (switching it moves the diagram toward descending); failing that, the
-    first eligible crossing met.
-    first_eligible: the first eligible crossing met.
-    """
+def choose_crossing(d: Diagram) -> int:
+    """Pick the crossing to resolve, walking the components in walk order:
+    the first eligible crossing first met at an under-passage (switching it
+    moves the diagram toward descending); failing that, the first eligible
+    crossing met."""
     met: set[int] = set()
     first = None
     for comp in walk_order(d):
@@ -243,7 +242,7 @@ def choose_crossing(d: Diagram, strategy: str = DESCENDING) -> int:
             met.add(cid)
             if classify_crossing(d, cid) not in (ARC_SELF, ARC_LOOP):
                 continue
-            if p.role == UNDER or strategy == FIRST_ELIGIBLE:
+            if p.role == UNDER:
                 return cid
             if first is None:
                 first = cid
@@ -323,7 +322,7 @@ class _Engine:
             return None, "depth-budget-exceeded", self._node(
                 cf, terminal=UNRESOLVED, reason="depth-budget-exceeded")
         try:
-            cid = choose_crossing(fixed, cfg.strategy)
+            cid = choose_crossing(fixed)
         except NoEligibleCrossing as exc:
             return None, f"no-eligible-crossing: {exc}", self._node(
                 cf, terminal=UNRESOLVED, reason="no-eligible-crossing")

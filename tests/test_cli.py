@@ -8,6 +8,15 @@ from twinskein.cli import main
 FIX = str(resources.files("twinskein") / "fixtures")
 
 
+@pytest.fixture
+def one_crossing_twin(tmp_path):
+    """A single arc-loop crossing, which the engine switches back and forth
+    until the depth budget runs out."""
+    f = tmp_path / "one_crossing.twin"
+    f.write_text("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }\n")
+    return str(f)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -124,9 +133,10 @@ class TestInvariant:
         assert code == 1
         assert out.startswith("unresolved: no-eligible-crossing")
 
-    def test_unresolved_run_still_emits_its_trace(self, capsys, tmp_path):
-        argv = ("invariant", f"{FIX}/tw_giller.twin", "--strategy",
-                "first_eligible", "--depth", "8", "--trace", "json")
+    def test_unresolved_run_still_emits_its_trace(self, capsys, tmp_path,
+                                                  one_crossing_twin):
+        argv = ("invariant", one_crossing_twin, "--depth", "8",
+                "--trace", "json")
         code, out, _ = run(capsys, *argv)
         assert code == 1
         first, rest = out.split("\n", 1)
@@ -162,13 +172,20 @@ class TestInvariant:
         assert code == 0
         assert out.strip() == "t^-2 - 1 + t^2"
 
-    def test_first_eligible_strategy_may_stall(self, capsys):
-        # the naive strategy cycles on this fixture; only descending is
-        # termination-oriented, and the stall is reported, not crashed
-        code, out, _ = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
-                           "--strategy", "first_eligible")
+    def test_one_crossing_twin_may_stall(self, capsys, one_crossing_twin):
+        # the switch 2-cycle is reported, not crashed
+        code, out, _ = run(capsys, "invariant", one_crossing_twin)
         assert code == 1
         assert "depth-budget-exceeded" in out
+
+    def test_strategy_flag_is_refused_by_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariant", f"{FIX}/tw_giller.twin",
+                  "--strategy", "first_eligible"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --strategy" in captured.err
 
     def test_depth_zero_is_a_config_error(self, capsys):
         code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
@@ -183,18 +200,17 @@ class TestInvariant:
         assert code == 2
         assert err.startswith("error: multiplier must be nonzero")
 
-    def test_depth_ceiling(self, capsys):
-        # The stalling strategy runs the engine's recursion down to the
-        # ceiling without exhausting the stack; deeper budgets are refused
-        # before any evaluation.
-        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
-                             "--strategy", "first_eligible", "--depth", "256")
+    def test_depth_ceiling(self, capsys, one_crossing_twin):
+        # The stall runs the engine's recursion down to the ceiling without
+        # exhausting the stack; deeper budgets are refused before any
+        # evaluation.
+        code, out, err = run(capsys, "invariant", one_crossing_twin,
+                             "--depth", "256")
         assert code == 1
         assert "depth-budget-exceeded" in out
         assert "max_depth=256" in err
         for depth in ("257", "1000"):
-            code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
-                                 "--strategy", "first_eligible",
+            code, out, err = run(capsys, "invariant", one_crossing_twin,
                                  "--depth", depth)
             assert code == 2
             assert out == ""
@@ -220,6 +236,14 @@ class TestConway:
     def test_unknown_knot(self, capsys):
         code, _, err = run(capsys, "conway", "--knot", "99_99")
         assert code == 1
+
+    def test_file_and_knot_together_are_refused(self, capsys):
+        code, out, err = run(capsys, "conway", f"{FIX}/giller_ex.knot",
+                             "--knot", "3_1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: conway takes a knot file or --knot NAME, " \
+                      "not both\n"
 
 
 class TestSpin:
@@ -262,6 +286,24 @@ class TestSpin:
         assert code == 2
         assert out == ""
         assert err == f"error: cut position {cut} out of range 0..6\n"
+
+    @pytest.mark.parametrize("construction", ["closure", "connsum"])
+    @pytest.mark.parametrize("flag,value", [("--cut", "0"), ("--knot", "3_1")])
+    def test_artin_flag_without_artin_is_refused(self, capsys, construction,
+                                                 flag, value):
+        code, out, err = run(capsys, "spin", f"{FIX}/giller_ex.knot",
+                             "--construction", construction, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} applies only to --construction artin\n"
+
+    def test_artin_with_a_path_is_refused(self, capsys):
+        code, out, err = run(capsys, "spin", f"{FIX}/giller_ex.knot",
+                             "--construction", "artin", "--knot", "3_1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --construction artin takes --knot NAME, " \
+                      "not a fixture path\n"
 
     def test_artin_unknown_knot_is_a_domain_failure(self, capsys):
         code, out, err = run(capsys, "spin", "--knot", "9_9",

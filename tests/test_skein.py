@@ -33,7 +33,6 @@ from twinskein.moves import (
     simplify,
 )
 from twinskein.skein import (
-    FIRST_ELIGIBLE,
     MEMO,
     SPLIT,
     STANDARD,
@@ -55,6 +54,9 @@ from twinskein.skein import (
 
 SPUN_TREFOIL_VALUE = LaurentPoly({-2: 1, 0: -1, 2: 1})
 SPUN_TREFOIL = "twin { arc A: O1+ U2+ O3+ U1+ O2+ U3+ ; arc B: ; }"
+# a single arc-loop crossing: the engine switches it back and forth until the
+# depth budget runs out
+ONE_CROSSING_TWIN = "twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }"
 
 
 class TestSwitch:
@@ -118,20 +120,16 @@ class TestSmooth:
 class TestChooseCrossing:
     def test_under_before_over_wins(self):
         d = parse(SPUN_TREFOIL)
-        assert choose_crossing(d, "descending") == 2
+        assert choose_crossing(d) == 2
 
     def test_fallback_first_eligible(self):
         d = parse("twin { arc A: O1+ O2+ U1+ U2+ ; arc B: ; }")
-        assert choose_crossing(d, "descending") == 1
-
-    def test_first_eligible_strategy(self):
-        d = parse(SPUN_TREFOIL)
-        assert choose_crossing(d, "first_eligible") == 1
+        assert choose_crossing(d) == 1
 
     def test_only_arc_arc_raises(self):
         d = parse("twin { arc A: O1+ ; arc B: U1+ ; }")
         with pytest.raises(NoEligibleCrossing):
-            choose_crossing(d, "descending")
+            choose_crossing(d)
 
 
 class TestEvaluate:
@@ -188,7 +186,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("sign", [0, 2, -7])
     def test_crossing_sign_other_than_one_rejected(self, sign):
-        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
+        d = parse(ONE_CROSSING_TWIN)
         with pytest.raises(DiagramError, match="crossing-sign"):
             evaluate(replace(d, crossings={1: sign}))
 
@@ -205,9 +203,7 @@ class TestEvaluate:
         assert evaluate(d).value == LaurentPoly.one()
 
     def test_unresolved_depth_budget(self):
-        # a single arc-loop crossing switch-cycles forever
-        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
-        r = evaluate(d, SkeinConfig(depth_budget=8))
+        r = evaluate(parse(ONE_CROSSING_TWIN), SkeinConfig(depth_budget=8))
         assert not r.resolved
         assert r.unresolved_reason == "depth-budget-exceeded"
 
@@ -241,12 +237,11 @@ class TestEvaluate:
 
     def test_smooth_only_after_the_switch_branch_resolves(self, monkeypatch):
         import twinskein.skein as skein
-        from importlib import resources
         calls = {"choose": 0, "smooth": 0}
 
-        def counting_choose(d, strategy):
+        def counting_choose(d):
             calls["choose"] += 1
-            return choose_crossing(d, strategy)
+            return choose_crossing(d)
 
         def counting_smooth(d, cid):
             calls["smooth"] += 1
@@ -254,9 +249,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(skein, "choose_crossing", counting_choose)
         monkeypatch.setattr(skein, "smooth_crossing", counting_smooth)
-        text = (resources.files("twinskein") / "fixtures" / "tw_giller.twin") \
-            .read_text()
-        r = evaluate(parse(text), SkeinConfig(strategy="first_eligible"))
+        r = evaluate(parse(ONE_CROSSING_TWIN))
         assert r.unresolved_reason == "depth-budget-exceeded"
         assert calls["smooth"] < calls["choose"]
 
@@ -303,8 +296,7 @@ def _scanned_slots(d: Diagram, crossing: int) -> tuple[tuple[int, int], ...]:
 
 class TestPassageIndex:
     CONFIGS = (SkeinConfig(depth_budget=16),
-               SkeinConfig(depth_budget=16, emit_trace=True,
-                           strategy="first_eligible"))
+               SkeinConfig(depth_budget=16, emit_trace=True))
 
     def _evaluate_all(self, diagrams):
         for d in diagrams:
@@ -324,7 +316,8 @@ class TestPassageIndex:
             built.append(self)
 
         monkeypatch.setattr(Diagram, "__init__", recording_init)
-        self._evaluate_all(_fixture_diagrams() + _random_diagrams(rng, 300))
+        self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                           + _random_diagrams(rng, 300))
         monkeypatch.undo()
         assert len(built) > 1000
         for d in built:
@@ -356,7 +349,8 @@ class TestPassageIndex:
             return build(d)
 
         monkeypatch.setattr(diagram, "_build_slot_index", counting_build)
-        self._evaluate_all(_fixture_diagrams() + _random_diagrams(rng, 300))
+        self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                           + _random_diagrams(rng, 300))
         assert len(builds) > 1000
         assert max(builds.values()) == 1
 
@@ -396,7 +390,7 @@ class _UngatedEngine(_Engine):
             return None, "depth-budget-exceeded", self._node(
                 cf, terminal=UNRESOLVED, reason="depth-budget-exceeded")
         try:
-            cid = choose_crossing(fixed, cfg.strategy)
+            cid = choose_crossing(fixed)
         except NoEligibleCrossing as exc:
             return None, f"no-eligible-crossing: {exc}", self._node(
                 cf, terminal=UNRESOLVED, reason="no-eligible-crossing")
@@ -453,7 +447,7 @@ def _normal_form_order(d: Diagram):
     return sorted(d.components, key=lambda c: (rank[c.kind], c.label))
 
 
-def _reference_choose_crossing(d: Diagram, strategy: str) -> int:
+def _reference_choose_crossing(d: Diagram) -> int:
     """``choose_crossing`` as it was before the one walk: the eligible set,
     the role of each crossing where the walk first meets it, and the
     crossings in walk order."""
@@ -470,18 +464,16 @@ def _reference_choose_crossing(d: Diagram, strategy: str) -> int:
                 first_role[p.crossing] = p.role
                 order.append(p.crossing)
     eligible_in_order = [cid for cid in order if cid in eligible]
-    if strategy == FIRST_ELIGIBLE:
-        return eligible_in_order[0]
     for cid in eligible_in_order:
         if first_role[cid] == "U":
             return cid
     return eligible_in_order[0]
 
 
-def _choice(choose, d: Diagram, strategy: str):
+def _choice(choose, d: Diagram):
     """The crossing ``choose`` picks, or the exception it raises."""
     try:
-        return choose(d, strategy)
+        return choose(d)
     except DiagramError as exc:
         return type(exc), str(exc)
 
@@ -493,9 +485,9 @@ class TestOneWalkChoice:
         import twinskein.skein as skein
         seen = []
 
-        def recording(d, strategy):
+        def recording(d):
             seen.append(d)
-            return choose_crossing(d, strategy)
+            return choose_crossing(d)
 
         monkeypatch.setattr(skein, "choose_crossing", recording)
         for d in _spun_table():
@@ -529,11 +521,9 @@ class TestOneWalkChoice:
         for d in diagrams:
             assert walk_order(d) == _reference_walk_order(d) \
                 == _normal_form_order(d)
-            for strategy in ("descending", FIRST_ELIGIBLE):
-                got = _choice(choose_crossing, d, strategy)
-                assert got == _choice(_reference_choose_crossing, d,
-                                      strategy), (serialize(d), strategy)
-            pick = _choice(choose_crossing, d, "descending")
+            pick = _choice(choose_crossing, d)
+            assert pick == _choice(_reference_choose_crossing, d), \
+                serialize(d)
             if isinstance(pick, tuple):
                 outcomes.add("raised")
                 continue
@@ -550,12 +540,12 @@ class TestOneWalkChoice:
 class TestGatedMemo:
     CONFIGS = (SkeinConfig(),
                SkeinConfig(depth_budget=24, emit_trace=True),
-               SkeinConfig(depth_budget=24, emit_trace=True,
-                           strategy="first_eligible"))
+               SkeinConfig(depth_budget=24, emit_trace=True, use_memo=False))
 
     def test_matches_the_ungated_engine(self, rng):
-        cases = [(d, cfg) for d in _fixture_diagrams() + _random_diagrams(
-                     rng, 300) for cfg in self.CONFIGS]
+        diagrams = (_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                    + _random_diagrams(rng, 300))
+        cases = [(d, cfg) for d in diagrams for cfg in self.CONFIGS]
         cases += [(d, self.CONFIGS[0]) for d in _spun_table()]
         hits = traced = 0
         for d, cfg in cases:
@@ -570,7 +560,6 @@ class TestGatedMemo:
 
     def test_unresolved_run_writes_no_key(self, monkeypatch):
         import twinskein.skein as skein
-        from importlib import resources
         keyed = []
 
         def counting(d):
@@ -578,10 +567,7 @@ class TestGatedMemo:
             return canonicalize(d)
 
         monkeypatch.setattr(skein, "canonicalize", counting)
-        text = (resources.files("twinskein") / "fixtures" / "tw_giller.twin") \
-            .read_text()
-        r = evaluate(parse(text), SkeinConfig(strategy="first_eligible",
-                                              depth_budget=8))
+        r = evaluate(parse(ONE_CROSSING_TWIN), SkeinConfig(depth_budget=8))
         assert r.unresolved_reason == "depth-budget-exceeded"
         assert r.stats.nodes_expanded == 9
         assert keyed == []
@@ -705,8 +691,8 @@ class TestTraceExport:
         assert data["children"] == []
 
     def test_unresolved_trace_has_unresolved_leaf(self):
-        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
-        r = evaluate(d, SkeinConfig(depth_budget=4, emit_trace=True))
+        r = evaluate(parse(ONE_CROSSING_TWIN),
+                     SkeinConfig(depth_budget=4, emit_trace=True))
         assert any(n.terminal == "unresolved" for n in r.trace.leaves())
 
     def test_dot_output_is_a_digraph(self):
@@ -726,9 +712,9 @@ class TestTraceExport:
 
     def test_trace_at_the_depth_ceiling_exports(self):
         from twinskein.skein import MAX_DEPTH_BUDGET
-        d = parse("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }")
-        r = evaluate(d, SkeinConfig(depth_budget=MAX_DEPTH_BUDGET,
-                                    emit_trace=True))
+        r = evaluate(parse(ONE_CROSSING_TWIN),
+                     SkeinConfig(depth_budget=MAX_DEPTH_BUDGET,
+                                 emit_trace=True))
         assert r.stats.max_depth == MAX_DEPTH_BUDGET
         assert export_trace(r, "json").count('"switch"') == MAX_DEPTH_BUDGET
         assert export_trace(r, "dot").count("switch") == MAX_DEPTH_BUDGET
