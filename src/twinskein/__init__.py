@@ -13,7 +13,7 @@ from .constructions import (
     table_names,
     twin_closure,
 )
-from .alexander import alexander_at_t_squared, alexander_symmetrized, conway
+from .alexander import alexander_at_t_squared, conway
 
 __all__ = [
     "LaurentPoly",
@@ -37,7 +37,6 @@ __all__ = [
     "table_names",
     "twin_closure",
     "alexander_at_t_squared",
-    "alexander_symmetrized",
     "conway",
 ]
 

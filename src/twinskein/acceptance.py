@@ -94,7 +94,7 @@ def _timed(fn):
 
 
 def _value_case(name: str, fixture: str, expected: LaurentPoly,
-                multiplier: LaurentPoly | None,
+                multiplier: LaurentPoly | None = None,
                 emit_trace: bool = False) -> tuple[CaseResult, object]:
     """Evaluate a fixture, under ``multiplier`` when one is given."""
     cfg = SkeinConfig(multiplier=multiplier, emit_trace=emit_trace)
@@ -110,15 +110,13 @@ def _value_case(name: str, fixture: str, expected: LaurentPoly,
     return CaseResult(name, ok, detail, elapsed * 1000), result
 
 
-def check_standard_twin(multiplier: LaurentPoly | None = None) -> CaseResult:
-    case, _ = _value_case("standard-twin", "tw_std.twin", LaurentPoly.one(),
-                          multiplier)
+def check_standard_twin() -> CaseResult:
+    case, _ = _value_case("standard-twin", "tw_std.twin", LaurentPoly.one())
     return case
 
 
-def check_split(multiplier: LaurentPoly | None = None) -> CaseResult:
-    case, _ = _value_case("split", "tw_split.twin", LaurentPoly.zero(),
-                          multiplier)
+def check_split() -> CaseResult:
+    case, _ = _value_case("split", "tw_split.twin", LaurentPoly.zero())
     return case
 
 
@@ -168,9 +166,9 @@ def check_tw_giller(multiplier: LaurentPoly | None = None) -> CaseResult:
                       f"leaves", case.elapsed_ms)
 
 
-def check_tw_unknot_pair(multiplier: LaurentPoly | None = None) -> CaseResult:
+def check_tw_unknot_pair() -> CaseResult:
     case, result = _value_case("tw-unknot-pair", "tw_unknot_pair.twin",
-                               GILLER_VALUE, multiplier, emit_trace=True)
+                               GILLER_VALUE, emit_trace=True)
     if not case.ok:
         return case
     if result.trace.crossing_sign != -1:
@@ -181,9 +179,8 @@ def check_tw_unknot_pair(multiplier: LaurentPoly | None = None) -> CaseResult:
                       case.elapsed_ms)
 
 
-def check_giller_two_knot(multiplier: LaurentPoly | None = None) -> CaseResult:
-    case, _ = _value_case("giller-two-knot", "giller_ex.knot", GILLER_VALUE,
-                          multiplier)
+def check_giller_two_knot() -> CaseResult:
+    case, _ = _value_case("giller-two-knot", "giller_ex.knot", GILLER_VALUE)
     return case
 
 
@@ -406,11 +403,10 @@ def check_negative_control() -> CaseResult:
                       "multiplier 1 breaks the Tw_G check", elapsed * 1000)
 
 
-def run_all(multiplier: LaurentPoly | None = None) -> list[CaseResult]:
-    """All acceptance checks.  An overridden multiplier applies to the
-    fixture-value criteria (perturbation sanity: anything but the default
-    breaks the corpus values)."""
-    cases = [check(multiplier) for check in (
+def run_all() -> list[CaseResult]:
+    """All acceptance checks, under the default multiplier; the
+    negative-control check runs the Tw_G check under another."""
+    cases = [check() for check in (
         check_standard_twin, check_split, check_tw_giller,
         check_tw_unknot_pair, check_giller_two_knot)]
     cases.append(check_fintushel_stern())

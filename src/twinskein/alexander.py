@@ -29,10 +29,6 @@ from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 #: The Conway skein variable z as a Laurent polynomial.
 Z = LaurentPoly.var_power(1)
 
-#: u - u^-1 with u = t^(1/2): substituting z by this symmetrizes the
-#: Alexander polynomial in the half-power variable.
-U_MINUS_UINV = LaurentPoly({1: 1, -1: -1})
-
 
 @dataclass(frozen=True)
 class LinkCode:
@@ -205,12 +201,6 @@ def conway(code: LinkCode | ClassicalKnotCode) -> LaurentPoly:
         return value
 
     return rec(code)
-
-
-def alexander_symmetrized(k: ClassicalKnotCode) -> LaurentPoly:
-    """The symmetrized Alexander polynomial in the half-power variable u:
-    conway(k) evaluated at z = u - u^-1."""
-    return conway(k).substitute(U_MINUS_UINV)
 
 
 def alexander_at_t_squared(k: ClassicalKnotCode) -> LaurentPoly:

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .acceptance import run_all
-from .alexander import alexander_symmetrized, conway
+from .alexander import alexander_at_t_squared, conway
 from .constructions import (ClassicalKnotCode, artin_spin, connect_sum_twin,
                             table_knot, twin_closure)
 from .diagram import (
@@ -53,15 +53,12 @@ def cmd_validate(args) -> int:
     return EXIT_DOMAIN
 
 
-def _multiplier(args) -> LaurentPoly | None:
-    return (LaurentPoly.parse(args.multiplier)
-            if args.multiplier is not None else None)
-
-
 def _skein_config(args) -> SkeinConfig:
     if args.trace_out is not None and args.trace is None:
         raise ConfigError("--trace-out needs --trace json or --trace dot")
-    return SkeinConfig(multiplier=_multiplier(args), depth_budget=args.depth,
+    multiplier = (LaurentPoly.parse(args.multiplier)
+                  if args.multiplier is not None else None)
+    return SkeinConfig(multiplier=multiplier, depth_budget=args.depth,
                        emit_trace=args.trace is not None,
                        use_memo=not args.no_memo)
 
@@ -89,20 +86,16 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_conway(args) -> int:
-    if args.knot is not None and args.path is not None:
-        raise ConfigError("conway takes a knot file or --knot NAME, not both")
-    if args.knot:
+    if args.knot is not None:
         code = table_knot(args.knot)
     else:
-        if not args.path:
-            raise DiagramError("conway needs a knot file or --knot NAME")
         d = _load_diagram(args.path)
         if d.mode != TWO_KNOT or d.loops():
             raise DiagramError("conway expects a knot file with a single arc")
         arc = next(c for c in d.components if c.is_arc)
         code = ClassicalKnotCode(arc.passages, dict(d.crossings))
     print(conway(code).render("z"))
-    print(alexander_symmetrized(code).render("u"))
+    print(alexander_at_t_squared(code).render("u"))
     return EXIT_OK
 
 
@@ -111,8 +104,6 @@ def cmd_spin(args) -> int:
         if args.path is not None:
             raise ConfigError(
                 "--construction artin takes --knot NAME, not a fixture path")
-        if not args.knot:
-            raise DiagramError("--construction artin requires --knot NAME")
         code = table_knot(args.knot)
         try:
             out = artin_spin(code, cut_at=args.cut or 0)
@@ -123,9 +114,6 @@ def cmd_spin(args) -> int:
             if value is not None:
                 raise ConfigError(
                     f"{flag} applies only to --construction artin")
-        if not args.path:
-            raise DiagramError(
-                f"--construction {args.construction} requires a fixture path")
         k2 = _load_diagram(args.path)
         out = (twin_closure(k2) if args.construction == "closure"
                else connect_sum_twin(k2))
@@ -140,8 +128,7 @@ def cmd_spin(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    # a refused multiplier raises when the first case builds its config
-    cases = run_all(_multiplier(args))
+    cases = run_all()
     width = max(len(c.name) for c in cases)
     all_ok = True
     for c in cases:
@@ -180,16 +167,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conway",
                        help="classical Conway/Alexander oracle")
-    p.add_argument("path", nargs="?", default=None,
-                   help="knot file ('-' for stdin)")
-    p.add_argument("--knot", default=None, help="bundled table knot name")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("path", nargs="?", default=None, metavar="PATH",
+                        help="knot file ('-' for stdin)")
+    source.add_argument("--knot", default=None, metavar="NAME",
+                        help="bundled table knot name")
     p.set_defaults(fn=cmd_conway)
 
     p = sub.add_parser("spin", help="build a twin diagram")
-    p.add_argument("path", nargs="?", default=None,
-                   help="two-knot fixture (closure/connsum constructions)")
-    p.add_argument("--knot", default=None,
-                   help="bundled knot name (artin construction)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("path", nargs="?", default=None, metavar="PATH",
+                        help="two-knot fixture (closure/connsum "
+                             "constructions; '-' for stdin)")
+    source.add_argument("--knot", default=None, metavar="NAME",
+                        help="bundled knot name (artin construction)")
     p.add_argument("--construction", required=True,
                    choices=("artin", "closure", "connsum"))
     p.add_argument("--cut", type=int, default=None,
@@ -199,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run the bundled acceptance corpus")
     p.add_argument("--suite", choices=("acceptance",), default="acceptance")
-    p.add_argument("--multiplier", default=None,
-                   help="override the skein multiplier for the value criteria "
-                        "(perturbation sanity: anything but the default "
-                        "breaks them)")
     p.set_defaults(fn=cmd_corpus)
 
     return ap

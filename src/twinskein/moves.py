@@ -20,7 +20,6 @@ from .diagram import (
     Diagram,
     DiagramError,
     OVER,
-    Passage,
     TWIN,
     TWIN_ARC,
     UNDER,
@@ -113,17 +112,13 @@ def _drop_crossings(d: Diagram, cids: set[int]) -> Diagram:
     return Diagram(d.mode, comps, signs)
 
 
-def _replace_passages(d: Diagram, ci: int, passages: tuple[Passage, ...]) -> Diagram:
+def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
     comp = d.components[ci]
-    new = Component(comp.kind, comp.label, passages, comp.surgery)
+    ps = list(comp.passages)
+    ps[i], ps[j] = ps[j], ps[i]
+    new = Component(comp.kind, comp.label, tuple(ps), comp.surgery)
     return Diagram(d.mode, d.components[:ci] + (new,) + d.components[ci + 1:],
                    dict(d.crossings))
-
-
-def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
-    ps = list(d.components[ci].passages)
-    ps[i], ps[j] = ps[j], ps[i]
-    return _replace_passages(d, ci, tuple(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +336,8 @@ def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
 
 def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
     """Apply the first enabled crossing-removing move, scanning R1 then R2
-    then F; None when no such move is enabled."""
+    then F, then the reductions that welded commutes enable; None when no
+    such move is enabled."""
     for comp, a in _r1_pairs(d):
         cid = comp.passages[a].crossing
         return (_drop_crossings(d, {cid}),
@@ -350,12 +346,13 @@ def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
         cids = (comp.passages[a].crossing, comp.passages[b].crossing)
         return _drop_crossings(d, set(cids)), MoveEvent(R2, cids, (comp.label, a))
     fmoves = find_f_moves(d)
-    if fmoves:
-        cid = fmoves[0]
-        ci, pos = d.slot_index()[cid][0]
-        return (apply_f_move(d, cid),
-                MoveEvent(F_MOVE, (cid,), (d.components[ci].label, pos)))
-    return None
+    found = (F_MOVE, (fmoves[0],)) if fmoves else _commuted_reduction(d)
+    if found is None:
+        return None
+    kind, cids = found
+    ci, pos = d.slot_index()[cids[0]][0]
+    return (_drop_crossings(d, set(cids)),
+            MoveEvent(kind, cids, (d.components[ci].label, pos)))
 
 
 def _over_runs(comp: Component) -> dict[int, list[int]]:
@@ -381,63 +378,38 @@ def _over_runs(comp: Component) -> dict[int, list[int]]:
     return runs
 
 
-def _shift_plan(label: str, run: list[int], src_idx: int,
-                dst_idx: int) -> list[tuple[str, int]]:
-    """Commute positions that walk one over-passage from run index src to dst."""
-    return ([(label, run[i]) for i in range(src_idx, dst_idx)]
-            + [(label, run[i - 1]) for i in range(src_idx, dst_idx, -1)])
-
-
-def _reach(comp: Component, runs: dict[int, list[int]], pos: int,
-           target: int) -> list[tuple[str, int]] | None:
-    """Commutes that walk the passage at ``pos`` to ``target`` inside its
-    over-run; None when it cannot get there."""
-    if pos == target:
-        return []
-    run = runs.get(pos)
-    if run is None or runs.get(target) is not run:
-        return None
-    return _shift_plan(comp.label, run, run.index(pos), run.index(target))
-
-
-def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
-    """A sequence of welded-commute moves after which a reduction fires.
+def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
+    """The first reduction that welded-commute moves enable, as (kind,
+    crossings); None when there is none.  Asked only when no R1, R2 or F
+    move is enabled as the diagram stands.
 
     Over-passages permute freely inside a maximal over-run and runs never
     merge, so reachability is decided exactly: a kink needs its over-passage
     in the run bordering its under-passage; a bigon needs an adjacent
     under-pair of opposite signs whose over-partners share a run; an
     endpoint slide needs both passages able to reach the same marker.
+    Walking an over-passage through its run and then deleting it leaves
+    the run's other passages in their order, so the reduction is made by
+    dropping its crossings where they stand: the commutes themselves are
+    never applied, and a loop's text may start elsewhere than after them.
     """
-    if not find_commute_moves(d):  # no plan can take a first step
+    if not find_commute_moves(d):  # no commute can take a first step
         return None
     runs = [_over_runs(c) for c in d.components]
     index = d.slot_index()
 
-    # kinks: bring O_c to the edge of a run bordering U_c
+    # kinks: O_c in a run that borders U_c
     for cid in sorted(d.crossings):
         slots = index.get(cid, ())
         if len(slots) != 2 or slots[0][0] != slots[1][0]:
             continue
-        ci = slots[0][0]
+        (ci, p1), (_, p2) = slots
         comp = d.components[ci]
-        (p1, p2) = (slots[0][1], slots[1][1])
-        if comp.passages[p1].role == OVER:
-            op, up = p1, p2
-        else:
-            op, up = p2, p1
+        op, up = (p1, p2) if comp.passages[p1].role == OVER else (p2, p1)
         run = runs[ci].get(op)
-        if run is None:
-            continue
-        src = run.index(op)
-        if _neighbor(comp, run[-1], +1) == up:
-            plan = _shift_plan(comp.label, run, src, len(run) - 1)
-        elif _neighbor(comp, run[0], -1) == up:
-            plan = _shift_plan(comp.label, run, src, 0)
-        else:
-            continue
-        if plan:
-            return plan
+        if run is not None and up in (_neighbor(comp, run[-1], +1),
+                                      _neighbor(comp, run[0], -1)):
+            return R1, (cid,)
 
     # bigons: adjacent under-pair, opposite signs, over-partners in one run
     for ci, comp in enumerate(d.components):
@@ -453,51 +425,34 @@ def _commute_search(d: Diagram) -> list[tuple[str, int]] | None:
             if of_ci != os_ci:
                 continue
             run = runs[of_ci].get(of_p)
-            if run is None or runs[of_ci].get(os_p) is not run:
-                continue
-            # walk the partner of s to just before the partner of f
-            i, j = run.index(os_p), run.index(of_p)
-            plan = _shift_plan(d.components[of_ci].label, run, i, j - (i < j))
-            if plan:
-                return plan
+            if run is not None and runs[of_ci].get(os_p) is run:
+                return R2, (f, s)
 
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:
+        def reaches(ci: int, pos: int, target: int) -> bool:
+            run = runs[ci].get(pos)
+            return pos == target or (run is not None
+                                     and runs[ci].get(target) is run)
+
         for cid in sorted(d.crossings):
             if classify_crossing(d, cid) != ARC_ARC:
                 continue
             (c1, p1), (c2, p2) = index[cid]
-            comp1, comp2 = d.components[c1], d.components[c2]
-            for t1, t2 in ((0, 0), (len(comp1.passages) - 1,
-                                    len(comp2.passages) - 1)):
-                plan1 = _reach(comp1, runs[c1], p1, t1)
-                plan2 = _reach(comp2, runs[c2], p2, t2)
-                if plan1 is not None and plan2 is not None and (plan1 or plan2):
-                    return plan1 + plan2
+            for t1, t2 in ((0, 0), (len(d.components[c1].passages) - 1,
+                                    len(d.components[c2].passages) - 1)):
+                if reaches(c1, p1, t1) and reaches(c2, p2, t2):
+                    return F_MOVE, (cid,)
     return None
 
 
 def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
-    """Greedy fixpoint of R1 > R2 > F, with welded-commute searches that
-    enable them.  Deterministic; never increases crossing count; the
-    commutes spent per reduction round are bounded by the component length.
+    """Greedy fixpoint of R1 > R2 > F, then of the reductions that welded
+    commutes enable.  Deterministic; every step removes crossings, and no
+    step applies a commute.
     """
     events: list[MoveEvent] = []
-    while True:
-        red = _reduce(d)
-        if red is None:
-            path = _commute_search(d)
-            if path is None:
-                break
-            for pos in path:
-                comp = d.component(pos[0])
-                a, b = _pair_at(comp, pos[1])
-                cids = (comp.passages[a].crossing, comp.passages[b].crossing)
-                d = apply_welded_commute(d, pos)
-                events.append(MoveEvent(WELDED_COMMUTE, cids, pos))
-            red = _reduce(d)
-            if red is None:  # pragma: no cover - search promised a reduction
-                break
+    while (red := _reduce(d)) is not None:
         d, ev = red
         events.append(ev)
     return d, tuple(events)

@@ -92,17 +92,6 @@ def test_criterion_9_negative_control():
     assert case.ok, case.detail
 
 
-# an overridden multiplier reaches every fixture-value criterion: 1 and 0
-# do not depend on it, the Giller value does
-def test_fixture_checks_take_the_multiplier():
-    one = LaurentPoly.one()
-    assert acceptance.check_standard_twin(one).ok
-    assert acceptance.check_split(one).ok
-    for check in (acceptance.check_tw_giller, acceptance.check_tw_unknot_pair,
-                  acceptance.check_giller_two_knot):
-        assert not check(one).ok, check.__name__
-
-
 # the corpus leaves the shared zero and one values as they were
 def test_run_all_leaves_zero_and_one_alone():
     _get("negative-control")

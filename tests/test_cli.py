@@ -1,3 +1,4 @@
+import io
 import json
 from importlib import resources
 
@@ -21,6 +22,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refused(capsys, *argv) -> str:
+    """Run a command line the parser refuses; its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 class TestValidate:
@@ -166,6 +177,16 @@ class TestInvariant:
         assert code == 0
         assert out.strip() != "t^-2 - 1 + t^2"
 
+    def test_spun_trefoil_read_from_stdin(self, capsys, monkeypatch):
+        # the README pipeline: spin --knot 3_1 ... | invariant -
+        code, spun, _ = run(capsys, "spin", "--knot", "3_1",
+                            "--construction", "artin")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(spun))
+        code, out, _ = run(capsys, "invariant", "-")
+        assert code == 0
+        assert out == "t^-2 - 1 + t^2\n"
+
     def test_no_memo_flag(self, capsys):
         code, out, _ = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
                            "--no-memo")
@@ -179,13 +200,9 @@ class TestInvariant:
         assert "depth-budget-exceeded" in out
 
     def test_strategy_flag_is_refused_by_the_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["invariant", f"{FIX}/tw_giller.twin",
-                  "--strategy", "first_eligible"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --strategy" in captured.err
+        err = refused(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                      "--strategy", "first_eligible")
+        assert "unrecognized arguments: --strategy" in err
 
     def test_depth_zero_is_a_config_error(self, capsys):
         code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
@@ -238,12 +255,13 @@ class TestConway:
         assert code == 1
 
     def test_file_and_knot_together_are_refused(self, capsys):
-        code, out, err = run(capsys, "conway", f"{FIX}/giller_ex.knot",
-                             "--knot", "3_1")
-        assert code == 2
-        assert out == ""
-        assert err == "error: conway takes a knot file or --knot NAME, " \
-                      "not both\n"
+        err = refused(capsys, "conway", f"{FIX}/giller_ex.knot",
+                      "--knot", "3_1")
+        assert "argument --knot: not allowed with argument PATH" in err
+
+    def test_file_or_knot_is_required(self, capsys):
+        err = refused(capsys, "conway")
+        assert "one of the arguments PATH --knot is required" in err
 
 
 class TestSpin:
@@ -270,8 +288,12 @@ class TestSpin:
         assert code2 == 0
 
     def test_artin_requires_knot(self, capsys):
-        code, _, err = run(capsys, "spin", "--construction", "artin")
-        assert code == 1
+        err = refused(capsys, "spin", "--construction", "artin")
+        assert "one of the arguments PATH --knot is required" in err
+
+    def test_closure_requires_a_path(self, capsys):
+        err = refused(capsys, "spin", "--construction", "closure")
+        assert "one of the arguments PATH --knot is required" in err
 
     def test_artin_cut_flag(self, capsys):
         code, out, _ = run(capsys, "spin", "--knot", "3_1",
@@ -291,7 +313,9 @@ class TestSpin:
     @pytest.mark.parametrize("flag,value", [("--cut", "0"), ("--knot", "3_1")])
     def test_artin_flag_without_artin_is_refused(self, capsys, construction,
                                                  flag, value):
-        code, out, err = run(capsys, "spin", f"{FIX}/giller_ex.knot",
+        # the parser takes PATH or --knot, never both
+        path = () if flag == "--knot" else (f"{FIX}/giller_ex.knot",)
+        code, out, err = run(capsys, "spin", *path,
                              "--construction", construction, flag, value)
         assert code == 2
         assert out == ""
@@ -299,7 +323,7 @@ class TestSpin:
 
     def test_artin_with_a_path_is_refused(self, capsys):
         code, out, err = run(capsys, "spin", f"{FIX}/giller_ex.knot",
-                             "--construction", "artin", "--knot", "3_1")
+                             "--construction", "artin")
         assert code == 2
         assert out == ""
         assert err == "error: --construction artin takes --knot NAME, " \
@@ -322,15 +346,9 @@ class TestCorpus:
         assert "ms" in lines[0]  # per-case elapsed time is reported
 
     def test_zero_multiplier_is_refused_before_any_case(self, capsys):
-        code, out, err = run(capsys, "corpus", "--multiplier", "0")
-        assert code == 2
-        assert out == ""
-        assert err == "error: multiplier must be nonzero\n"
+        err = refused(capsys, "corpus", "--multiplier", "0")
+        assert "unrecognized arguments: --multiplier 0" in err
 
     def test_unknown_suite_is_refused_by_the_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["corpus", "--suite", "foo"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "invalid choice: 'foo'" in captured.err
+        assert "invalid choice: 'foo'" in refused(capsys, "corpus", "--suite",
+                                                  "foo")
