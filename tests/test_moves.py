@@ -624,6 +624,12 @@ class TestCommuteSearchAgainstReference:
         assert len(kinds) >= 200
         assert set(kinds) == {R1, R2, F_MOVE}
 
+    def test_plans_simplify_asks_for(self, rng, monkeypatch):
+        diagrams = [_random_with_empty_loops(rng, i) for i in range(600)]
+        asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams])
+        enabled = {_witness(d) for d in asked}
+        assert enabled == {None, R1, R2, F_MOVE}
+
 
 class TestSplitAgainstReference:
     def test_loop_reached_through_another_loop_is_not_split(self):
