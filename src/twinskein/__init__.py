@@ -3,7 +3,7 @@ presented as welded Gauss-code diagrams."""
 
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 from .diagram import Diagram, parse, serialize, validate
-from .moves import simplify, is_standard_twin, is_split, canonicalize
+from .moves import simplify, canonicalize
 from .skein import SkeinConfig, SkeinResult, evaluate, export_trace
 from .constructions import (
     ClassicalKnotCode,
@@ -23,8 +23,6 @@ __all__ = [
     "serialize",
     "validate",
     "simplify",
-    "is_standard_twin",
-    "is_split",
     "canonicalize",
     "SkeinConfig",
     "SkeinResult",

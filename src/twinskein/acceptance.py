@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .alexander import (
     LinkCode,
@@ -20,8 +19,8 @@ from .alexander import (
     diagram_to_link,
     link_to_diagram,
 )
-from .constructions import (ClassicalKnotCode, artin_spin, table_knot,
-                            table_names)
+from .constructions import (ClassicalKnotCode, artin_spin, fixture_text,
+                            table_knot, table_names)
 from .diagram import (
     Diagram,
     parse,
@@ -73,8 +72,7 @@ TIME_LIMITS = {
 }
 
 
-@dataclass
-class CaseResult:
+class CaseResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -82,9 +80,7 @@ class CaseResult:
 
 
 def load_fixture(name: str) -> Diagram:
-    text = (resources.files("twinskein") / "fixtures" / name).read_text(
-        encoding="utf-8")
-    return parse(text)
+    return parse(fixture_text(name))
 
 
 def _timed(fn):

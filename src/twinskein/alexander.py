@@ -10,8 +10,6 @@ the twin engine; it exists to cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import ClassicalKnotCode, check_gauss_roles
 from .diagram import (
     Component,
@@ -23,6 +21,7 @@ from .diagram import (
     Passage,
     TWO_KNOT,
     UNDER,
+    ValueEq,
 )
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 
@@ -30,17 +29,14 @@ from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 Z = LaurentPoly.var_power(1)
 
 
-@dataclass(frozen=True)
-class LinkCode:
+class LinkCode(ValueEq):
     """A closed classical link code: cyclic components through signed crossings."""
 
-    components: tuple[tuple[Passage, ...], ...]
-    crossings: dict[int, int]
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        check_gauss_roles(self.components, self.crossings)
+    def __init__(self, components: tuple[tuple[Passage, ...], ...],
+                 crossings: dict[int, int]) -> None:
+        check_gauss_roles(components, crossings)
+        self.components = components
+        self.crossings = crossings
 
     @classmethod
     def from_knot(cls, k: ClassicalKnotCode) -> "LinkCode":

@@ -165,7 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable memoization")
     p.set_defaults(fn=cmd_invariant)
 
-    p = sub.add_parser("conway",
+    # argparse leaves a positional in a mutually exclusive group out of the
+    # group's brackets, so the usage line of conway and spin is written out
+    p = sub.add_parser("conway", usage="%(prog)s [-h] (PATH | --knot NAME)",
                        help="classical Conway/Alexander oracle")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("path", nargs="?", default=None, metavar="PATH",
@@ -174,7 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="bundled table knot name")
     p.set_defaults(fn=cmd_conway)
 
-    p = sub.add_parser("spin", help="build a twin diagram")
+    p = sub.add_parser("spin", help="build a twin diagram",
+                       usage="%(prog)s [-h] (PATH | --knot NAME)\n"
+                             "                      --construction "
+                             "{artin,closure,connsum} [--cut CUT] [--out OUT]")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("path", nargs="?", default=None, metavar="PATH",
                         help="two-knot fixture (closure/connsum "

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from importlib import resources
 
 from .diagram import (
     Component,
@@ -21,6 +19,7 @@ from .diagram import (
     TWIN_ARC,
     TWO_KNOT,
     UNDER,
+    ValueEq,
     parse,
     validate,
 )
@@ -42,17 +41,14 @@ def check_gauss_roles(strands: tuple[tuple[Passage, ...], ...],
                 f"crossing {cid} must appear once over and once under")
 
 
-@dataclass(frozen=True)
-class ClassicalKnotCode:
+class ClassicalKnotCode(ValueEq):
     """A classical knot Gauss code: one closed strand through signed crossings."""
 
-    passages: tuple[Passage, ...]
-    crossings: dict[int, int]
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        check_gauss_roles((self.passages,), self.crossings)
+    def __init__(self, passages: tuple[Passage, ...],
+                 crossings: dict[int, int]) -> None:
+        check_gauss_roles((passages,), crossings)
+        self.passages = passages
+        self.crossings = crossings
 
 
 def artin_spin(k: ClassicalKnotCode, cut_at: int = 0) -> Diagram:
@@ -141,10 +137,18 @@ def _require_two_knot(d: Diagram) -> None:
 _ENTRY_RE = re.compile(r"([A-Za-z0-9_]+)\s*(knot\s*\{[^{}]*\})")
 
 
+def fixture_text(name: str) -> str:
+    """The text of a file in the bundled ``fixtures`` directory."""
+    # importlib.resources imports inspect on Python 3.12 and later, so it is
+    # imported here, not with the module: most commands read no fixture
+    from importlib import resources
+    return (resources.files("twinskein") / "fixtures" / name).read_text(
+        encoding="utf-8")
+
+
 @functools.cache  # the table is read once per process
 def _load_table() -> dict[str, ClassicalKnotCode]:
-    text = (resources.files("twinskein") / "fixtures" / "knot_table.txt") \
-        .read_text(encoding="utf-8")
+    text = fixture_text("knot_table.txt")
     text = "\n".join(ln for ln in text.splitlines()
                      if not ln.lstrip().startswith("#"))
     table: dict[str, ClassicalKnotCode] = {}

@@ -20,7 +20,8 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 OVER = "O"
 UNDER = "U"
@@ -47,8 +48,17 @@ class ParseError(DiagramError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Passage:
+class ValueEq:
+    """Equality of two instances of one class by their attributes.  Such
+    objects are unhashable."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+class Passage(NamedTuple):
     """One trip of a strand through a classical crossing."""
 
     crossing: int
@@ -61,8 +71,7 @@ class Passage:
         return f"{self.role}{self.crossing}{'+' if sign > 0 else '-'}"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """An arc (open, read start to end) or a loop (cyclic, read modulo rotation)."""
 
     kind: str
@@ -79,13 +88,15 @@ class Component:
         return self.kind == LOOP
 
 
-@dataclass(frozen=True, eq=True)
-class Diagram:
-    """A welded Gauss-code presentation of a twin or a ribbon 2-knot."""
+class Diagram(namedtuple("Diagram", "mode components crossings")):
+    """A welded Gauss-code presentation of a twin or a ribbon 2-knot.
+
+    Unlike the other records it is unhashable (``crossings`` is a dict) and
+    keeps a ``__dict__``, where ``slot_index`` caches its index."""
 
     mode: str
     components: tuple[Component, ...]
-    crossings: dict[int, int] = field(default_factory=dict)  # id -> +1 / -1
+    crossings: dict[int, int]  # id -> +1 / -1
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -123,15 +134,13 @@ def _build_slot_index(d: Diagram) -> dict[int, tuple[tuple[int, int], ...]]:
     return {cid: tuple(s) for cid, s in slots.items()}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     location: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     ARC_ARC,
@@ -39,8 +39,7 @@ class MoveError(DiagramError):
     """The requested move's precondition is not met."""
 
 
-@dataclass(frozen=True)
-class MoveEvent:
+class MoveEvent(NamedTuple):
     """One rewriting step, for audit trails."""
 
     move_kind: str
@@ -48,8 +47,7 @@ class MoveEvent:
     position: tuple[str, int]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Minimal serialized representative of a diagram's signed equivalence class.
 
     Equal diagrams up to crossing renumbering, loop reordering, loop rotation
@@ -484,19 +482,6 @@ def is_unit_simplified(fixed: Diagram) -> bool:
     """True iff an already simplified diagram is bare arcs: no crossings,
     no loops."""
     return not fixed.crossings and not fixed.loops()
-
-
-def is_standard_twin(d: Diagram) -> bool:
-    """True iff the twin simplifies to two bare arcs: no crossings, no loops."""
-    if d.mode != TWIN:
-        raise DiagramError("is_standard_twin requires twin mode")
-    return is_unit_simplified(simplify(d)[0])
-
-
-def is_split(d: Diagram) -> bool:
-    """True iff, after simplification, some component cannot be reached
-    from the arcs: a loop or loop cluster is detached from the arcs."""
-    return is_split_simplified(simplify(d)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ guessing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import (
     ARC_ARC,
@@ -26,6 +26,7 @@ from .diagram import (
     LOOP,
     TWIN,
     UNDER,
+    ValueEq,
     classify_crossing,
     surgery_text,
     validate,
@@ -73,35 +74,43 @@ class ConfigError(ValueError):
     """A configuration value the program refuses."""
 
 
-@dataclass
-class SkeinConfig:
+class SkeinConfig(ValueEq):
     """Engine settings.  A multiplier of None means the default t - t^-1."""
 
-    multiplier: LaurentPoly | None = None
-    depth_budget: int = 64
-    emit_trace: bool = False
-    use_memo: bool = True
-
-    def __post_init__(self) -> None:
-        if self.multiplier is None:
-            self.multiplier = SKEIN_MULTIPLIER
-        if not 1 <= self.depth_budget <= MAX_DEPTH_BUDGET:
+    def __init__(self, multiplier: LaurentPoly | None = None,
+                 depth_budget: int = 64, emit_trace: bool = False,
+                 use_memo: bool = True) -> None:
+        if not 1 <= depth_budget <= MAX_DEPTH_BUDGET:
             raise ConfigError(
                 f"depth_budget must be between 1 and {MAX_DEPTH_BUDGET}, "
-                f"not {self.depth_budget}")
-        if self.multiplier.is_zero():
+                f"not {depth_budget}")
+        if multiplier is None:
+            multiplier = SKEIN_MULTIPLIER
+        if multiplier.is_zero():
             raise ConfigError("multiplier must be nonzero")
+        self.multiplier = multiplier
+        self.depth_budget = depth_budget
+        self.emit_trace = emit_trace
+        self.use_memo = use_memo
 
 
-@dataclass(slots=True)
 class SkeinStats:
-    nodes_expanded: int = 0
-    memo_hits: int = 0
-    max_depth: int = 0
+    __slots__ = ("nodes_expanded", "memo_hits", "max_depth")
+
+    def __init__(self, nodes_expanded: int = 0, memo_hits: int = 0,
+                 max_depth: int = 0) -> None:
+        self.nodes_expanded = nodes_expanded
+        self.memo_hits = memo_hits
+        self.max_depth = max_depth
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(NamedTuple):
     """One node of the resolution tree (diagrams named by canonical key)."""
 
     key: str
@@ -122,8 +131,7 @@ class TraceNode:
         return out
 
 
-@dataclass(slots=True)
-class SkeinResult:
+class SkeinResult(NamedTuple):
     value: LaurentPoly | None
     unresolved_reason: str | None
     trace: TraceNode | None

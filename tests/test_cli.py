@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import twinskein
 from twinskein.cli import main
 
 FIX = str(resources.files("twinskein") / "fixtures")
@@ -334,6 +339,25 @@ class TestSpin:
                              "--construction", "artin", "--cut", "99")
         assert code == 1
         assert err.startswith("error: unknown knot '9_9'")
+
+
+@pytest.mark.parametrize("command", ["conway", "spin"])
+def test_usage_shows_that_one_source_is_required(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: twinskein {command} [-h] (PATH | --knot NAME)")
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    src = str(Path(twinskein.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = Path(__file__).with_name("import_surface.py")
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCorpus:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from twinskein.diagram import (
@@ -12,10 +10,12 @@ from twinskein.diagram import (
     LOOP,
     LOOP_LOOP,
     LOOP_SELF,
+    OVER,
     ParseError,
     Passage,
     TWIN,
     TWIN_ARC,
+    UNDER,
     classify_crossing,
     met_once,
     normalize,
@@ -25,6 +25,8 @@ from twinskein.diagram import (
     serialize,
     validate,
 )
+from twinskein.moves import CanonicalForm
+from twinskein.skein import TraceNode
 
 STD = "twin { arc A: ; arc B: ; }"
 
@@ -120,6 +122,26 @@ class TestSerialize:
         assert serialize(parse(text)) == text
 
 
+class TestRecords:
+    @pytest.mark.parametrize("record, field", [
+        (Passage(1, OVER), "role"),
+        (Component(LOOP, "T"), "passages"),
+        (parse(STD), "crossings"),
+        (CanonicalForm(STD, 1), "sign"),
+        (TraceNode(STD, 1), "value"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_diagram_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(parse(STD))
+
+    def test_passage_hashes_as_its_fields(self):
+        assert hash(Passage(3, UNDER)) == hash((3, UNDER))
+
+
 class TestValidate:
     def test_standard_is_valid(self):
         assert validate(parse(STD)).ok
@@ -148,7 +170,7 @@ class TestValidate:
         (v,) = validate(d).violations
         assert (v.code, v.location) == ("crossing-sign", "crossing 1")
         assert str(sign) in v.message
-        assert validate(replace(d, crossings={1: 1, 2: -1})).ok
+        assert validate(d._replace(crossings={1: 1, 2: -1})).ok
 
     def test_unknown_crossing(self):
         d = Diagram(TWIN, (

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -44,9 +43,8 @@ from twinskein.moves import (
     find_r1_moves,
     find_r2_moves,
     find_r3_moves,
-    is_split,
     is_split_simplified,
-    is_standard_twin,
+    is_unit_simplified,
     simplify,
 )
 from twinskein.skein import evaluate
@@ -533,7 +531,7 @@ def _random_with_empty_loops(rng, i: int) -> Diagram:
                        mode=TWO_KNOT if i % 4 == 3 else TWIN,
                        n_loops=i % 4, two_arcs=i % 3 == 0)
     if i % 5 == 0:
-        d = replace(d, components=d.components + (Component(LOOP, "E", ()),))
+        d = d._replace(components=d.components + (Component(LOOP, "E", ()),))
     return d
 
 
@@ -636,13 +634,13 @@ class TestSplitAgainstReference:
         d = parse("twin { arc A: O1+ ; arc B: ; loop T: U2+ ; "
                   "loop S: U1+ O2+ ; }")
         assert not is_split_simplified(d) and not reference_is_split(d)
-        assert not is_split(d)
+        assert not is_split_simplified(simplify(d)[0])
 
     def test_detached_loop_pair_beside_an_attached_loop_is_split(self):
         d = parse("twin { arc A: O1+ ; arc B: ; loop R: U1+ ; loop S: O2+ ; "
                   "loop T: U2+ ; }")
         assert is_split_simplified(d) and reference_is_split(d)
-        assert is_split(d)
+        assert is_split_simplified(simplify(d)[0])
 
     def test_fixtures_and_random_diagrams(self, rng):
         answers = set()
@@ -667,28 +665,31 @@ class TestAuditTrail:
 
 class TestTerminalPredicates:
     def test_standard(self):
-        assert is_standard_twin(parse(STD))
+        assert is_unit_simplified(simplify(parse(STD))[0])
 
     def test_split_loop_is_not_standard(self):
-        assert not is_standard_twin(parse("twin { arc A: ; arc B: ; loop T: ; }"))
+        d = parse("twin { arc A: ; arc B: ; loop T: ; }")
+        assert not is_unit_simplified(simplify(d)[0])
 
     def test_kink_is_standard(self):
-        assert is_standard_twin(parse("twin { arc A: O1+ U1+ ; arc B: ; }"))
+        d = parse("twin { arc A: O1+ U1+ ; arc B: ; }")
+        assert is_unit_simplified(simplify(d)[0])
 
     def test_split_detached_loop(self):
-        assert is_split(parse("twin { arc A: ; arc B: ; loop T: ; }"))
+        d = parse("twin { arc A: ; arc B: ; loop T: ; }")
+        assert is_split_simplified(simplify(d)[0])
 
     def test_linked_loop_not_split(self):
         d = parse("twin { arc A: O1+ O2+ ; arc B: ; loop T: U1+ U2+ ; }")
-        assert not is_split(d)
+        assert not is_split_simplified(simplify(d)[0])
 
     def test_loop_pair_split(self):
         d = parse("twin { arc A: ; arc B: ; loop S: O1+ ; loop T: U1+ ; }")
-        assert is_split(d)
+        assert is_split_simplified(simplify(d)[0])
 
     def test_r2_linking_does_not_mask_splitness(self):
         d = parse("twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; }")
-        assert is_split(d)
+        assert is_split_simplified(simplify(d)[0])
 
 
 class TestCanonicalize:
@@ -830,8 +831,8 @@ class TestCanonicalizeAgainstBruteForce:
             if len(d.crossings) < 10:
                 continue
             checked += 1
-            d = replace(d, components=tuple(
-                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+            d = d._replace(components=tuple(
+                c._replace(surgery=rng.choice(surgeries)) if c.is_loop else c
                 for c in d.components))
             cf = canonicalize(d)
             assert cf == brute_force_canonicalize(d), serialize(d)
@@ -847,8 +848,8 @@ class TestCanonicalizeAgainstBruteForce:
             d = random_diagram(rng, max_crossings=5,
                                mode=TWO_KNOT if i % 8 >= 4 else TWIN,
                                n_loops=i % 4, two_arcs=True)
-            d = replace(d, components=tuple(
-                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+            d = d._replace(components=tuple(
+                c._replace(surgery=rng.choice(surgeries)) if c.is_loop else c
                 for c in d.components))
             kinds.update(classify_crossing(d, cid) for cid in d.crossings)
             assert canonicalize(d) == brute_force_canonicalize(d), serialize(d)
@@ -861,7 +862,7 @@ def _renumbered(d: Diagram, rng) -> Diagram:
     ids = list(d.crossings)
     new_ids = rng.sample(range(1, 10 * len(ids) + 2), len(ids))
     renum = dict(zip(ids, new_ids))
-    comps = [replace(c, passages=tuple(replace(p, crossing=renum[p.crossing])
+    comps = [c._replace(passages=tuple(p._replace(crossing=renum[p.crossing])
                                        for p in c.passages))
              for c in d.components]
     arcs = [c for c in comps if c.is_arc]
@@ -879,8 +880,8 @@ class TestCanonicalFingerprint:
             d = random_diagram(rng, max_crossings=5,
                                mode=TWO_KNOT if i % 4 == 3 else TWIN,
                                n_loops=i % 4, two_arcs=i % 2 == 1)
-            d = replace(d, components=tuple(
-                replace(c, surgery=rng.choice(surgeries)) if c.is_loop else c
+            d = d._replace(components=tuple(
+                c._replace(surgery=rng.choice(surgeries)) if c.is_loop else c
                 for c in d.components))
             variants = [d, _renumbered(d, rng)]
             moved = variants[-1]

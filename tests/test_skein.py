@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -40,6 +39,7 @@ from twinskein.skein import (
     UNRESOLVED,
     NoEligibleCrossing,
     SkeinConfig,
+    SkeinStats,
     SurgeryLabelError,
     UnsupportedLoopSmoothing,
     UnsupportedRibbonIntersection,
@@ -188,7 +188,7 @@ class TestEvaluate:
     def test_crossing_sign_other_than_one_rejected(self, sign):
         d = parse(ONE_CROSSING_TWIN)
         with pytest.raises(DiagramError, match="crossing-sign"):
-            evaluate(replace(d, crossings={1: sign}))
+            evaluate(d._replace(crossings={1: sign}))
 
     def test_unresolved_pairwise_only(self):
         # markers mixed, so the endpoint moves cannot clear the pairwise
@@ -261,6 +261,10 @@ class TestEvaluate:
         assert r1.stats == r2.stats
         assert export_trace(r1, "json") == export_trace(r2, "json")
 
+    def test_stats_compare_by_value(self):
+        assert SkeinStats(9, 1, 4) == SkeinStats(9, 1, 4)
+        assert SkeinStats(9, 1, 4) != SkeinStats(9, 1, 5)
+
 
 def _resolvable(rng, **kwargs):
     """Generate random diagrams until one resolves under the default config."""
@@ -309,13 +313,14 @@ class TestPassageIndex:
     def test_slots_match_a_scan_on_every_diagram_built(self, rng,
                                                        monkeypatch):
         built = []
-        init = Diagram.__init__
+        new = Diagram.__new__
 
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built.append(self)
+        def recording_new(cls, *args, **kwargs):
+            d = new(cls, *args, **kwargs)
+            built.append(d)
+            return d
 
-        monkeypatch.setattr(Diagram, "__init__", recording_init)
+        monkeypatch.setattr(Diagram, "__new__", recording_new)
         self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
                            + _random_diagrams(rng, 300))
         monkeypatch.undo()
@@ -507,10 +512,10 @@ class TestOneWalkChoice:
             if i % 3 == 0:
                 labels = rng.sample(["A", "B", "K", "T1", "T2", "S", "b"],
                                     len(d.components))
-                comps = [replace(c, label=lab)
+                comps = [c._replace(label=lab)
                          for c, lab in zip(d.components, labels)]
                 rng.shuffle(comps)
-                d = replace(d, components=tuple(comps))
+                d = d._replace(components=tuple(comps))
             out.append(d)
         return out
 
