@@ -8,7 +8,6 @@ from .skein import SkeinConfig, SkeinResult, evaluate, export_trace
 from .constructions import (
     ClassicalKnotCode,
     artin_spin,
-    connect_sum_twin,
     table_knot,
     table_names,
     twin_closure,
@@ -30,7 +29,6 @@ __all__ = [
     "export_trace",
     "ClassicalKnotCode",
     "artin_spin",
-    "connect_sum_twin",
     "table_knot",
     "table_names",
     "twin_closure",

@@ -13,12 +13,10 @@ import time
 
 from .acceptance import run_all
 from .alexander import alexander_at_t_squared, conway
-from .constructions import (ClassicalKnotCode, artin_spin, connect_sum_twin,
-                            table_knot, twin_closure)
+from .constructions import artin_spin, knot_code, table_knot, twin_closure
 from .diagram import (
     DiagramError,
     ParseError,
-    TWO_KNOT,
     parse as parse_diagram,
     serialize,
     validate,
@@ -86,37 +84,24 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_conway(args) -> int:
-    if args.knot is not None:
-        code = table_knot(args.knot)
-    else:
-        d = _load_diagram(args.path)
-        if d.mode != TWO_KNOT or d.loops():
-            raise DiagramError("conway expects a knot file with a single arc")
-        arc = next(c for c in d.components if c.is_arc)
-        code = ClassicalKnotCode(arc.passages, dict(d.crossings))
+    code = (table_knot(args.knot) if args.knot is not None
+            else knot_code(_load_diagram(args.path)))
     print(conway(code).render("z"))
     print(alexander_at_t_squared(code).render("u"))
     return EXIT_OK
 
 
 def cmd_spin(args) -> int:
-    if args.construction == "artin":
-        if args.path is not None:
-            raise ConfigError(
-                "--construction artin takes --knot NAME, not a fixture path")
+    if args.knot is not None:
         code = table_knot(args.knot)
         try:
             out = artin_spin(code, cut_at=args.cut or 0)
         except DiagramError as exc:
             raise ConfigError(str(exc)) from None
+    elif args.cut is not None:
+        raise ConfigError("--cut applies only to --knot NAME")
     else:
-        for flag, value in (("--knot", args.knot), ("--cut", args.cut)):
-            if value is not None:
-                raise ConfigError(
-                    f"{flag} applies only to --construction artin")
-        k2 = _load_diagram(args.path)
-        out = (twin_closure(k2) if args.construction == "closure"
-               else connect_sum_twin(k2))
+        out = twin_closure(_load_diagram(args.path))
     text = serialize(out) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -177,20 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_conway)
 
     p = sub.add_parser("spin", help="build a twin diagram",
-                       usage="%(prog)s [-h] (PATH | --knot NAME)\n"
-                             "                      --construction "
-                             "{artin,closure,connsum} [--cut CUT] [--out OUT]")
+                       usage="%(prog)s [-h] (PATH | --knot NAME) [--cut N] "
+                             "[--out PATH]")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("path", nargs="?", default=None, metavar="PATH",
-                        help="two-knot fixture (closure/connsum "
-                             "constructions; '-' for stdin)")
+                        help="two-knot file, closed into a twin "
+                             "('-' for stdin)")
     source.add_argument("--knot", default=None, metavar="NAME",
-                        help="bundled knot name (artin construction)")
-    p.add_argument("--construction", required=True,
-                   choices=("artin", "closure", "connsum"))
-    p.add_argument("--cut", type=int, default=None,
-                   help="cut position for the artin construction")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+                        help="bundled knot name, Artin-spun into a twin")
+    p.add_argument("--cut", type=int, default=None, metavar="N",
+                   help="cut position of the spun knot's code")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="output path (default stdout)")
     p.set_defaults(fn=cmd_spin)
 
     p = sub.add_parser("corpus", help="run the bundled acceptance corpus")

@@ -1,6 +1,6 @@
-"""Builders that produce twin diagrams from classical knots and ribbon
-2-knot diagrams: Artin spin, twin closure, and the connect sum with the
-standard twin.  Also the bundled classical knot table.
+"""Builders that produce twin diagrams: the Artin spin of a classical knot
+and the twin closure of a ribbon 2-knot diagram.  Also the bundled classical
+knot table.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ def artin_spin(k: ClassicalKnotCode, cut_at: int = 0) -> Diagram:
 def twin_closure(k2: Diagram) -> Diagram:
     """Close a 2-knot diagram into a twin by adding a crossingless second arc
     through the endpoint markers.  Loops are carried over unchanged."""
-    _require_two_knot(k2)
+    if k2.mode != TWO_KNOT or not validate(k2).ok:
+        raise DiagramError("expected a valid two_knot diagram")
     arc = next(c for c in k2.components if c.kind == KNOT_ARC)
     comps = [Component(TWIN_ARC, "A", arc.passages),
              Component(TWIN_ARC, "B", ())]
@@ -75,59 +76,12 @@ def twin_closure(k2: Diagram) -> Diagram:
     return Diagram(TWIN, tuple(comps), dict(k2.crossings))
 
 
-def connect_sum_twin(k0: Diagram) -> Diagram:
-    """Connect-sum a 2-knot with the standard twin by the doubling traversal.
-
-    The first arc runs the 2-knot's code forward and then backward in two
-    parallel copies.  Each original crossing of sign s yields four crossings:
-    forward-forward and backward-backward keep s, the two mixed pairs get -s
-    (exactly one strand of the pair is orientation-reversed).  Convention:
-    the forward copy meets the forward transverse copy first, the backward
-    copy meets the backward transverse copy first.
-    """
-    _require_two_knot(k0)
-    if k0.loops():
-        raise DiagramError("connect_sum_twin expects a loop-free 2-knot diagram")
-    arc = next(c for c in k0.components if c.kind == KNOT_ARC)
-
-    first_slot: dict[int, int] = {}
-    for pos, p in enumerate(arc.passages):
-        first_slot.setdefault(p.crossing, pos)
-    order = sorted(first_slot, key=first_slot.get)  # type: ignore[arg-type]
-    ids: dict[tuple[int, str], int] = {}
-    signs: dict[int, int] = {}
-    for idx, cid in enumerate(order):
-        base = 4 * idx
-        s = k0.crossings[cid]
-        for off, tag in enumerate(("ff", "ma", "mb", "bb")):
-            ids[(cid, tag)] = base + off + 1
-        signs[ids[(cid, "ff")]] = s
-        signs[ids[(cid, "bb")]] = s
-        signs[ids[(cid, "ma")]] = -s
-        signs[ids[(cid, "mb")]] = -s
-
-    forward: list[Passage] = []
-    for pos, p in enumerate(arc.passages):
-        mixed = "ma" if pos == first_slot[p.crossing] else "mb"
-        forward.append(Passage(ids[(p.crossing, "ff")], p.role))
-        forward.append(Passage(ids[(p.crossing, mixed)], p.role))
-    backward: list[Passage] = []
-    for pos in range(len(arc.passages) - 1, -1, -1):
-        p = arc.passages[pos]
-        mixed = "mb" if pos == first_slot[p.crossing] else "ma"
-        backward.append(Passage(ids[(p.crossing, "bb")], p.role))
-        backward.append(Passage(ids[(p.crossing, mixed)], p.role))
-
-    return Diagram(TWIN, (
-        Component(TWIN_ARC, "A", tuple(forward + backward)),
-        Component(TWIN_ARC, "B", ()),
-    ), signs)
-
-
-def _require_two_knot(d: Diagram) -> None:
-    report = validate(d)
-    if d.mode != TWO_KNOT or not report.ok:
-        raise DiagramError("expected a valid two_knot diagram")
+def knot_code(d: Diagram) -> ClassicalKnotCode:
+    """The Gauss code of a knot diagram: its one arc, with no loops."""
+    if d.mode != TWO_KNOT or d.loops():
+        raise DiagramError("expected a knot diagram with a single arc")
+    arc = next(c for c in d.components if c.kind == KNOT_ARC)
+    return ClassicalKnotCode(arc.passages, dict(d.crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +107,7 @@ def _load_table() -> dict[str, ClassicalKnotCode]:
                      if not ln.lstrip().startswith("#"))
     table: dict[str, ClassicalKnotCode] = {}
     for name, block in _ENTRY_RE.findall(text):
-        d = parse(block)
-        arc = next(c for c in d.components if c.kind == KNOT_ARC)
-        table[name] = ClassicalKnotCode(arc.passages, dict(d.crossings))
+        table[name] = knot_code(parse(block))
     return table
 
 

@@ -19,6 +19,8 @@ class LaurentError(ValueError):
 _TERM_RE = re.compile(
     r"^(?P<coeff>\d+)?(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?\d+))?)?$"
 )
+# whitespace inside a number: "1 1" is not 11
+_DIGIT_GAP_RE = re.compile(r"\d\s+\d")
 
 
 class LaurentPoly:
@@ -188,6 +190,8 @@ class LaurentPoly:
         s = text.strip()
         if not s:
             raise LaurentError("empty polynomial text")
+        if _DIGIT_GAP_RE.search(s):
+            raise LaurentError(f"whitespace between digits in {text!r}")
         if s == "0":
             return cls.zero()
         raw_terms: list[str] = []

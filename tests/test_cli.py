@@ -183,9 +183,8 @@ class TestInvariant:
         assert out.strip() != "t^-2 - 1 + t^2"
 
     def test_spun_trefoil_read_from_stdin(self, capsys, monkeypatch):
-        # the README pipeline: spin --knot 3_1 ... | invariant -
-        code, spun, _ = run(capsys, "spin", "--knot", "3_1",
-                            "--construction", "artin")
+        # the README pipeline: spin --knot 3_1 | invariant -
+        code, spun, _ = run(capsys, "spin", "--knot", "3_1")
         assert code == 0
         monkeypatch.setattr("sys.stdin", io.StringIO(spun))
         code, out, _ = run(capsys, "invariant", "-")
@@ -215,6 +214,13 @@ class TestInvariant:
         assert code == 2
         assert out == ""
         assert err.startswith("error: depth_budget must be between 1 and")
+
+    def test_split_number_multiplier_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--multiplier", "1 1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: whitespace between digits in '1 1'\n"
 
     def test_zero_multiplier_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
@@ -259,6 +265,23 @@ class TestConway:
         code, _, err = run(capsys, "conway", "--knot", "99_99")
         assert code == 1
 
+    def test_knot_file(self, capsys):
+        code, out, _ = run(capsys, "conway", f"{FIX}/giller_ex.knot")
+        assert code == 0
+        assert out == "1 + z^2\nu^-2 - 1 + u^2\n"
+
+    @pytest.mark.parametrize("text", [
+        "twin { arc A: O1+ U1+ ; arc B: ; }\n",
+        "knot { arc K: O1+ ; loop T: U1+ ; }\n",
+    ])
+    def test_twin_or_loop_is_a_domain_failure(self, capsys, tmp_path, text):
+        f = tmp_path / "d.txt"
+        f.write_text(text)
+        code, out, err = run(capsys, "conway", str(f))
+        assert code == 1
+        assert out == ""
+        assert err == "error: expected a knot diagram with a single arc\n"
+
     def test_file_and_knot_together_are_refused(self, capsys):
         err = refused(capsys, "conway", f"{FIX}/giller_ex.knot",
                       "--knot", "3_1")
@@ -273,70 +296,59 @@ class TestSpin:
     def test_artin_unknot_writes_standard(self, capsys, tmp_path):
         out_path = tmp_path / "std.twin"
         code, _, _ = run(capsys, "spin", "--knot", "unknot",
-                         "--construction", "artin", "--out", str(out_path))
+                         "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == "twin { arc A: ; arc B: ; }\n"
 
     def test_closure_matches_tw_giller_fixture(self, capsys):
-        code, out, _ = run(capsys, "spin", f"{FIX}/giller_ex.knot",
-                           "--construction", "closure")
+        code, out, _ = run(capsys, "spin", f"{FIX}/giller_ex.knot")
         assert code == 0
         with open(f"{FIX}/tw_giller.twin") as f:
             assert out == f.read()
 
-    def test_connsum_output_validates(self, capsys, tmp_path):
-        out_path = tmp_path / "cs.twin"
-        code, _, _ = run(capsys, "spin", f"{FIX}/giller_ex.knot",
-                         "--construction", "connsum", "--out", str(out_path))
+    def test_closure_reads_stdin(self, capsys, monkeypatch):
+        with open(f"{FIX}/giller_ex.knot") as f:
+            monkeypatch.setattr("sys.stdin", io.StringIO(f.read()))
+        code, out, _ = run(capsys, "spin", "-")
         assert code == 0
-        code2, out, _ = run(capsys, "validate", str(out_path))
-        assert code2 == 0
+        with open(f"{FIX}/tw_giller.twin") as f:
+            assert out == f.read()
 
-    def test_artin_requires_knot(self, capsys):
-        err = refused(capsys, "spin", "--construction", "artin")
-        assert "one of the arguments PATH --knot is required" in err
-
-    def test_closure_requires_a_path(self, capsys):
-        err = refused(capsys, "spin", "--construction", "closure")
+    def test_a_source_is_required(self, capsys):
+        err = refused(capsys, "spin")
         assert "one of the arguments PATH --knot is required" in err
 
     def test_artin_cut_flag(self, capsys):
-        code, out, _ = run(capsys, "spin", "--knot", "3_1",
-                           "--construction", "artin", "--cut", "3")
+        code, out, _ = run(capsys, "spin", "--knot", "3_1", "--cut", "3")
         assert code == 0
-        assert out.startswith("twin { arc A: U1+")
+        assert out == "twin { arc A: U1+ O2+ U3+ O1+ U2+ O3+ ; arc B: ; }\n"
 
     @pytest.mark.parametrize("cut", ["99", "-1"])
     def test_artin_cut_out_of_range_is_a_config_error(self, capsys, cut):
-        code, out, err = run(capsys, "spin", "--knot", "3_1",
-                             "--construction", "artin", "--cut", cut)
+        code, out, err = run(capsys, "spin", "--knot", "3_1", "--cut", cut)
         assert code == 2
         assert out == ""
         assert err == f"error: cut position {cut} out of range 0..6\n"
 
-    @pytest.mark.parametrize("construction", ["closure", "connsum"])
-    @pytest.mark.parametrize("flag,value", [("--cut", "0"), ("--knot", "3_1")])
-    def test_artin_flag_without_artin_is_refused(self, capsys, construction,
-                                                 flag, value):
-        # the parser takes PATH or --knot, never both
-        path = () if flag == "--knot" else (f"{FIX}/giller_ex.knot",)
-        code, out, err = run(capsys, "spin", *path,
-                             "--construction", construction, flag, value)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {flag} applies only to --construction artin\n"
-
-    def test_artin_with_a_path_is_refused(self, capsys):
+    def test_cut_with_a_path_is_refused(self, capsys):
         code, out, err = run(capsys, "spin", f"{FIX}/giller_ex.knot",
-                             "--construction", "artin")
+                             "--cut", "0")
         assert code == 2
         assert out == ""
-        assert err == "error: --construction artin takes --knot NAME, " \
-                      "not a fixture path\n"
+        assert err == "error: --cut applies only to --knot NAME\n"
+
+    def test_construction_flag_is_refused_by_the_parser(self, capsys):
+        # the source names the construction; the old flag is unknown, and
+        # its value is read as a second source
+        err = refused(capsys, "spin", "--knot", "3_1",
+                      "--construction", "artin")
+        assert "argument PATH: not allowed with argument --knot" in err
+        err = refused(capsys, "spin", f"{FIX}/giller_ex.knot",
+                      "--construction", "closure")
+        assert "unrecognized arguments: --construction closure" in err
 
     def test_artin_unknown_knot_is_a_domain_failure(self, capsys):
-        code, out, err = run(capsys, "spin", "--knot", "9_9",
-                             "--construction", "artin", "--cut", "99")
+        code, out, err = run(capsys, "spin", "--knot", "9_9", "--cut", "99")
         assert code == 1
         assert err.startswith("error: unknown knot '9_9'")
 

@@ -4,7 +4,6 @@ from twinskein.alexander import LinkCode, alexander_at_t_squared, conway
 from twinskein.constructions import (
     ClassicalKnotCode,
     artin_spin,
-    connect_sum_twin,
     table_knot,
     table_names,
     twin_closure,
@@ -114,46 +113,6 @@ class TestTwinClosure:
     def test_requires_two_knot(self):
         with pytest.raises(DiagramError):
             twin_closure(parse("twin { arc A: ; arc B: ; }"))
-
-
-class TestConnectSum:
-    def test_crossingless_input(self):
-        out = connect_sum_twin(parse("knot { arc K: ; }"))
-        assert len(out.crossings) == 0
-        assert is_unit_simplified(simplify(out)[0])
-
-    def test_quadruples_crossings(self):
-        d = parse("knot { arc K: O1+ U2+ O3+ U1+ O2+ U3+ ; }")
-        out = connect_sum_twin(d)
-        assert len(out.crossings) == 12
-        assert validate(out).ok
-
-    def test_sign_pattern(self):
-        d = parse("knot { arc K: O1- U2+ U1- O2+ ; }")
-        out = connect_sum_twin(d)
-        # each original crossing: two copies keep the sign, two mixed flip it
-        from collections import Counter
-        assert Counter(out.crossings.values()) == Counter(
-            {1: 4, -1: 4})
-
-    def test_random_inputs_validate(self, rng):
-        for _ in range(20):
-            d = random_diagram(rng, mode="two_knot", n_loops=0)
-            out = connect_sum_twin(d)
-            assert validate(out).ok
-            assert len(out.crossings) == 4 * len(d.crossings)
-
-    def test_rejects_loops(self):
-        with pytest.raises(DiagramError):
-            connect_sum_twin(parse("knot { arc K: O1+ ; loop T: U1+ ; }"))
-
-    def test_doubled_band_retracts_under_welded_moves(self):
-        # The forward-and-back parallel double of any arc retracts using
-        # over-commutes and R1/R2 alone: adjacent mixed/plain pairs cancel
-        # from the turn-around inward.  Documented behavior of this
-        # crossingless-endpoint reading of the construction.
-        d = connect_sum_twin(parse("knot { arc K: O1+ U2+ O3+ U1+ O2+ U3+ ; }"))
-        assert is_unit_simplified(simplify(d)[0])
 
 
 class TestKnotTable:

@@ -95,6 +95,23 @@ class TestRendering:
         with pytest.raises(LaurentError):
             LaurentPoly.parse("q^2")
 
+    @pytest.mark.parametrize("text,terms", [
+        ("2 t", {1: 2}),
+        ("t ^2", {2: 1}),
+        ("t^ -2", {-2: 1}),
+        ("- t", {1: -1}),
+        ("t^-1 - t", {-1: 1, 1: -1}),
+        (" 12 t^10 + 3 ", {10: 12, 0: 3}),
+    ])
+    def test_parse_allows_whitespace_between_tokens(self, text, terms):
+        assert LaurentPoly.parse(text) == P(terms)
+
+    @pytest.mark.parametrize("text", ["1 1", "t^1 0", "2 3t", "t^-1 2",
+                                      "t - 1\t0"])
+    def test_parse_refuses_whitespace_between_digits(self, text):
+        with pytest.raises(LaurentError, match="whitespace between digits"):
+            LaurentPoly.parse(text)
+
 
 terms_st = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
 poly_st = terms_st.map(LaurentPoly)
