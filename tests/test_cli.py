@@ -314,9 +314,15 @@ class TestSpin:
         with open(f"{FIX}/tw_giller.twin") as f:
             assert out == f.read()
 
-    def test_a_source_is_required(self, capsys):
-        err = refused(capsys, "spin")
+    def test_artin_requires_knot(self, capsys):
+        # --cut belongs to the Artin spin, but does not stand in for --knot
+        err = refused(capsys, "spin", "--cut", "3")
         assert "one of the arguments PATH --knot is required" in err
+
+    def test_closure_requires_a_path(self, capsys, tmp_path):
+        err = refused(capsys, "spin", "--out", str(tmp_path / "tw.twin"))
+        assert "one of the arguments PATH --knot is required" in err
+        assert not (tmp_path / "tw.twin").exists()
 
     def test_artin_cut_flag(self, capsys):
         code, out, _ = run(capsys, "spin", "--knot", "3_1", "--cut", "3")
