@@ -4,11 +4,17 @@ recursion on closed Gauss codes, and the symmetrized Alexander polynomial.
 The recursion switches crossings toward a descending diagram (walking each
 component from its base point, every crossing should be met first at an
 over-passage).  Descending closed diagrams are unlinks, so termination is
-guaranteed: one component gives 1, more give 0.  This module never touches
-the twin engine; it exists to cross-check it.
+guaranteed: one component gives 1, more give 0.  A split link gives 0 at
+once (Conway 1970).  The recursion runs on components of signed crossing
+ids and does its own switch and smoothing by tuple slicing.  Its values are
+invariants of classical codes only: on a welded or virtual code they can
+depend on the base points.  This module never touches the twin engine; it
+exists to cross-check it.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .constructions import ClassicalKnotCode, check_gauss_roles
 from .diagram import (
@@ -27,6 +33,7 @@ from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 
 #: The Conway skein variable z as a Laurent polynomial.
 Z = LaurentPoly.var_power(1)
+_ONE, _ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 
 class LinkCode(ValueEq):
@@ -37,10 +44,6 @@ class LinkCode(ValueEq):
         check_gauss_roles(components, crossings)
         self.components = components
         self.crossings = crossings
-
-    @classmethod
-    def from_knot(cls, k: ClassicalKnotCode) -> "LinkCode":
-        return cls((k.passages,), dict(k.crossings))
 
 
 def braid_closure(word: list[int], strands: int | None = None) -> LinkCode:
@@ -114,92 +117,109 @@ def diagram_to_link(d: Diagram) -> LinkCode:
 # ---------------------------------------------------------------------------
 
 
-def _first_bad(code: LinkCode) -> int | None:
-    seen: set[int] = set()
-    for comp in code.components:
-        for p in comp:
-            if p.crossing not in seen:
-                seen.add(p.crossing)
-                if p.role == UNDER:
-                    return p.crossing
+def _split(comps: tuple[tuple[int, ...], ...]) -> bool:
+    """True when the components fall into two parts that share no crossing."""
+    parts = [set(map(abs, comp)) for comp in comps]
+    reach, rest = parts[0], parts[1:]
+    while rest:
+        apart = []
+        for part in rest:
+            if reach.isdisjoint(part):
+                apart.append(part)
+            else:
+                reach |= part
+        if len(apart) == len(rest):
+            return True
+        rest = apart
+    return False
+
+
+def _first_under(comps: tuple[tuple[int, ...], ...]) -> tuple[int, int] | None:
+    """Where the walk first meets a crossing at its under-passage, as
+    (component, position); None when the code is descending."""
+    seen = set()
+    for ci, comp in enumerate(comps):
+        for pi, x in enumerate(comp):
+            if x > 0:
+                seen.add(x)
+            elif -x not in seen:
+                return ci, pi
     return None
 
 
-def _switch(code: LinkCode, cid: int) -> LinkCode:
-    comps = tuple(
-        tuple(p.flipped() if p.crossing == cid else p for p in comp)
-        for comp in code.components)
-    signs = dict(code.crossings)
-    signs[cid] = -signs[cid]
-    return LinkCode(comps, signs)
-
-
-def _smooth(code: LinkCode, cid: int) -> LinkCode:
-    slots = []
-    for ci, comp in enumerate(code.components):
-        for pi, p in enumerate(comp):
-            if p.crossing == cid:
-                slots.append((ci, pi))
-    (c1, i1), (c2, i2) = slots
-    signs = {c: s for c, s in code.crossings.items() if c != cid}
-    if c1 == c2:
-        comp = code.components[c1]
-        i, j = min(i1, i2), max(i1, i2)
-        inner = comp[i + 1:j]
-        outer = comp[j + 1:] + comp[:i]
-        comps = (code.components[:c1] + (inner, outer)
-                 + code.components[c1 + 1:])
-        return LinkCode(comps, signs)
-    if c1 > c2:
-        (c1, i1), (c2, i2) = (c2, i2), (c1, i1)
-    a, b = code.components[c1], code.components[c2]
-    merged = a[:i1] + b[i2 + 1:] + b[:i2] + a[i1 + 1:]
-    comps = tuple(
-        merged if ci == c1 else comp
-        for ci, comp in enumerate(code.components) if ci != c2)
-    return LinkCode(comps, signs)
-
-
-def _memo_key(code: LinkCode) -> str:
+def _nabla(comps: tuple[tuple[int, ...], ...], signs: dict[int, int],
+           memo: dict) -> LaurentPoly:
+    """The Conway recursion on components of signed crossing ids (+c where
+    the strand passes over crossing c, -c where it passes under) and their
+    sign map.  Every code it builds passes the role check: each crossing in
+    the sign map is met once over and once under, and no other appears."""
+    bad = _first_under(comps)
+    if bad is None:
+        # descending: an unlink
+        return _ONE if len(comps) == 1 else _ZERO
+    # neither a switch nor a smoothing joins two parts that share no
+    # crossing, so every leaf below a split node has two or more components
+    if len(comps) > 1 and _split(comps):
+        return _ZERO
+    # the memo ignores crossing labels: the n-th crossing met, with sign s,
+    # is keyed 2n + (s > 0), negated at its under-passage
     renum: dict[int, int] = {}
-    chunks = []
-    for comp in code.components:
-        toks = []
-        for p in comp:
-            if p.crossing not in renum:
-                renum[p.crossing] = len(renum) + 1
-            sign = "+" if code.crossings[p.crossing] > 0 else "-"
-            toks.append(f"{p.role}{renum[p.crossing]}{sign}")
-        chunks.append(" ".join(toks))
-    return " | ".join(chunks)
+    for n, c in enumerate(dict.fromkeys(map(abs, chain.from_iterable(comps))),
+                          start=1):
+        renum[c] = r = 2 * n + (signs[c] > 0)
+        renum[-c] = -r
+    key = tuple(tuple(map(renum.__getitem__, comp)) for comp in comps)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    # the crossing is first met under at (ci, pi); its over-passage lies
+    # further on, at (cj, pj)
+    ci, pi = bad
+    c = -comps[ci][pi]
+    cj = next(j for j in range(ci, len(comps)) if c in comps[j])
+    pj = comps[cj].index(c)
+    a, b = comps[ci], comps[cj]
+    if ci == cj:
+        switched = (comps[:ci] + (a[:pi] + (c,) + a[pi + 1:pj] + (-c,)
+                                  + a[pj + 1:],) + comps[ci + 1:])
+        smoothed = (comps[:ci] + (a[pi + 1:pj], a[pj + 1:] + a[:pi])
+                    + comps[ci + 1:])
+    else:
+        switched = (comps[:ci] + (a[:pi] + (c,) + a[pi + 1:],)
+                    + comps[ci + 1:cj] + (b[:pj] + (-c,) + b[pj + 1:],)
+                    + comps[cj + 1:])
+        smoothed = (comps[:ci] + (a[:pi] + b[pj + 1:] + b[:pj] + a[pi + 1:],)
+                    + comps[ci + 1:cj] + comps[cj + 1:])
+    s = signs[c]
+    flipped = dict(signs)
+    flipped[c] = -s
+    rest = dict(signs)
+    del rest[c]
+    branch = Z * _nabla(smoothed, rest, memo)
+    value = _nabla(switched, flipped, memo) + (branch if s > 0 else -branch)
+    memo[key] = value
+    return value
 
 
 def conway(code: LinkCode | ClassicalKnotCode) -> LaurentPoly:
     """The Conway polynomial: unknot 1, split 0, and
-    ``conway(L+) - conway(L-) = z * conway(L0)``."""
-    if isinstance(code, ClassicalKnotCode):
-        code = LinkCode.from_knot(code)
-    memo: dict[str, LaurentPoly] = {}
+    ``conway(L+) - conway(L-) = z * conway(L0)``.
 
-    def rec(c: LinkCode) -> LaurentPoly:
-        bad = _first_bad(c)
-        if bad is None:
-            return (LaurentPoly.one() if len(c.components) == 1
-                    else LaurentPoly.zero())
-        key = _memo_key(c)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s = c.crossings[bad]
-        branch = Z * rec(_smooth(c, bad))
-        value = rec(_switch(c, bad)) + (branch if s > 0 else -branch)
-        memo[key] = value
-        return value
-
-    return rec(code)
+    The value is an invariant of classical codes only.  On a code that no
+    planar diagram realizes (a welded or virtual one), the recursion's
+    result can change with the base point of a component."""
+    comps = ((code.passages,) if isinstance(code, ClassicalKnotCode)
+             else code.components)
+    # crossings become 1..n, so that no id is its own negation
+    ids = {cid: i for i, cid in enumerate(code.crossings, start=1)}
+    return _nabla(
+        tuple(tuple(ids[p.crossing] if p.role == OVER else -ids[p.crossing]
+                    for p in comp) for comp in comps),
+        {ids[cid]: s for cid, s in code.crossings.items()}, {})
 
 
 def alexander_at_t_squared(k: ClassicalKnotCode) -> LaurentPoly:
     """The symmetrized Alexander polynomial at t^2, directly in t:
-    conway(k) evaluated at z = t - t^-1."""
+    conway(k) evaluated at z = t - t^-1.  Like ``conway``, an invariant of
+    classical codes only."""
     return conway(k).substitute(SKEIN_MULTIPLIER)

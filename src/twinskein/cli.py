@@ -11,7 +11,6 @@ import argparse
 import sys
 import time
 
-from .acceptance import run_all
 from .alexander import alexander_at_t_squared, conway
 from .constructions import artin_spin, knot_code, table_knot, twin_closure
 from .diagram import (
@@ -113,6 +112,9 @@ def cmd_spin(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    # imported here, not with the module: the corpus pulls in every test
+    # helper, and no other command needs them
+    from .acceptance import run_all
     cases = run_all()
     width = max(len(c.name) for c in cases)
     all_ok = True

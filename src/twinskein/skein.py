@@ -12,7 +12,6 @@ guessing.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .diagram import (
@@ -399,6 +398,8 @@ def export_trace(result: SkeinResult, fmt: str) -> str:
     if result.trace is None:
         raise DiagramError("result carries no trace (emit_trace was off)")
     if fmt == "json":
+        # imported here, not with the module: only --trace json needs it
+        import json
         return json.dumps(_trace_to_dict(result.trace), indent=2)
     if fmt != "dot":
         raise ValueError(f"unknown trace format {fmt!r}")

@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from twinskein import alexander
 from twinskein.alexander import (
     LinkCode,
     alexander_at_t_squared,
@@ -11,8 +13,9 @@ from twinskein.alexander import (
     diagram_to_link,
     link_to_diagram,
 )
-from twinskein.constructions import ClassicalKnotCode, table_knot
-from twinskein.diagram import DiagramError
+from twinskein.constructions import (ClassicalKnotCode, check_gauss_roles,
+                                    table_knot)
+from twinskein.diagram import OVER, UNDER, DiagramError, Passage
 from twinskein.laurent import LaurentPoly
 from twinskein.moves import (
     apply_r1,
@@ -92,8 +95,9 @@ class TestConwayInvariance:
             assert conway(diagram_to_link(moved)) == base
             checked += 1
 
-    def test_cut_point_independence(self):
-        k = table_knot("5_2")
+    @pytest.mark.parametrize("name", sorted(NABLA))
+    def test_cut_point_independence(self, name):
+        k = table_knot(name)
         base = conway(k)
         n = len(k.passages)
         for cut in range(n):
@@ -150,3 +154,78 @@ class TestBraidClosure:
     def test_bad_letter(self):
         with pytest.raises(DiagramError):
             braid_closure([3], strands=2)
+
+
+# ---------------------------------------------------------------------------
+# pinned values
+# ---------------------------------------------------------------------------
+
+#: Rendered ``conway`` values of the cases below, recorded from the
+#: string-keyed recursion that the signed-int recursion replaced.  Each line
+#: is ``label<TAB>value``.  Regenerate (only on purpose) with
+#: ``PYTHONPATH=src python tests/test_alexander.py > tests/conway_pins.tsv``.
+PINS = Path(__file__).with_name("conway_pins.tsv")
+
+
+def pinned_cases():
+    """(label, code) pairs: 240 seeded braid closures on 2 to 5 strands,
+    links included, then 120 seeded random Gauss codes with 2 to 6
+    crossings at every rotation.  Most random codes are not classical."""
+    rng = random.Random(14)
+    for i in range(240):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 9))]
+        yield f"braid {i}", braid_closure(word, strands)
+    for i in range(120):
+        n = rng.randint(2, 6)
+        passages = [Passage(c, role) for c in range(1, n + 1)
+                    for role in (OVER, UNDER)]
+        rng.shuffle(passages)
+        signs = {c: rng.choice((1, -1)) for c in range(1, n + 1)}
+        for r in range(2 * n):
+            yield (f"gauss {i} rotation {r}",
+                   ClassicalKnotCode(tuple(passages[r:] + passages[:r]),
+                                     dict(signs)))
+
+
+class TestPinnedValues:
+    def test_values_match_the_pinned_table(self):
+        pinned = dict(line.split("\t")
+                      for line in PINS.read_text(encoding="utf-8").splitlines())
+        got = {label: conway(code).render("z")
+               for label, code in pinned_cases()}
+        assert got.keys() == pinned.keys()
+        assert [k for k in got if got[k] != pinned[k]] == []
+
+    def test_two_separate_trefoils_are_split(self):
+        assert conway(braid_closure([1, 1, 1, 3, 3, 3])) == LaurentPoly.zero()
+
+    def test_crossingless_component_is_split(self):
+        k = table_knot("3_1")
+        assert conway(LinkCode((k.passages, ()), dict(k.crossings))) == \
+            LaurentPoly.zero()
+
+    def test_every_node_passes_the_role_check(self, monkeypatch):
+        nabla = alexander._nabla
+        nodes = []
+
+        def checked(comps, signs, memo):
+            check_gauss_roles(
+                tuple(tuple(Passage(abs(x), OVER if x > 0 else UNDER)
+                            for x in comp) for comp in comps), signs)
+            nodes.append(comps)
+            return nabla(comps, signs, memo)
+
+        monkeypatch.setattr(alexander, "_nabla", checked)
+        for name in NABLA:
+            conway(table_knot(name))
+        for label, code in pinned_cases():
+            if label.startswith("braid"):
+                conway(code)
+        assert len(nodes) > 1000
+
+
+if __name__ == "__main__":
+    for label, code in pinned_cases():
+        print(f"{label}\t{conway(code).render('z')}")
