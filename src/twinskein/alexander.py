@@ -32,7 +32,7 @@ from .diagram import (
 from .laurent import LaurentPoly, SKEIN_MULTIPLIER
 
 #: The Conway skein variable z as a Laurent polynomial.
-Z = LaurentPoly.var_power(1)
+Z = LaurentPoly({1: 1})
 _ONE, _ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 

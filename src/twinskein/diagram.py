@@ -15,11 +15,16 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
     component := ("arc" | "loop") LABEL ":" passage* surgery? ";"
     passage   := ("O" | "U") INT ("+" | "-")
     surgery   := "(" INT "," INT "/" INT ")"
+
+LABEL is a run of letters, digits and underscores; INT is a run of ASCII
+digits 0-9.  A parse error names the line and column of the token it
+refuses, or of the last token when the input ends too soon.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -153,86 +158,70 @@ class ValidationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    for ln, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "#":
-                break
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "{}();:,/":
-                tokens.append((ch, ln, i + 1))
-                i += 1
-                continue
-            if ch in "+-":
-                tokens.append((ch, ln, i + 1))
-                i += 1
-                continue
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < len(line) and (line[j].isalnum() or line[j] == "_"):
-                    j += 1
-                tokens.append((line[i:j], ln, i + 1))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", ln, i + 1)
-    return tokens
+#: One token: a punctuation mark, a word, a comment, or any other non-space
+#: character, which the reader refuses.  A comment runs to the end of its
+#: line, wherever ``str.splitlines`` ends one.
+_TOKEN = re.compile(
+    r"[{}();:,/+-]|\w+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|\S")
+_PUNCT = frozenset("{}();:,/+-")
 
 
 class _TokenStream:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = [t for t in _TOKEN.findall(text) if t[0] != "#"]
+        self.pos = 0  # the number of tokens taken
+        # an unexpected character is refused before any grammar rule is
+        # applied; past this loop every token is a punctuation mark or a word
+        for i, tok in enumerate(self.tokens):
+            if tok not in _PUNCT and not (tok[0].isalnum() or tok[0] == "_"):
+                self.pos = i + 1
+                raise self.error(f"unexpected character {tok!r}")
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def where(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            _, ln, col = self.tokens[self.pos]
-            return ln, col
-        if self.tokens:
-            _, ln, col = self.tokens[-1]
-            return ln, col
-        return 1, 1
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.tokens):
-            ln, col = self.where()
-            raise ParseError(
+        if self.pos == len(self.tokens):
+            raise self.error(
                 f"unexpected end of input (wanted {expected!r})" if expected
-                else "unexpected end of input", ln, col)
-        tok, ln, col = self.tokens[self.pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", ln, col)
+                else "unexpected end of input")
+        tok = self.tokens[self.pos]
         self.pos += 1
+        if expected is not None and tok != expected:
+            raise self.error(f"expected {expected!r}, found {tok!r}")
         return tok
+
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the token taken last, which is the one refused,
+        or the last token once the input has ended."""
+        if not self.pos:
+            return ParseError(message, 1, 1)
+        starts = [m.start() for m in _TOKEN.finditer(self.text)
+                  if m[0][0] != "#"]
+        lines = self.text[:starts[self.pos - 1] + 1].splitlines()
+        return ParseError(message, len(lines), len(lines[-1]))
 
 
 def parse(text: str, strict: bool = True) -> Diagram:
     """Parse the text format into a Diagram.
 
-    Raises ParseError (with line and column) on syntax errors and
-    DiagramError on semantic ones: a crossing id must occur exactly twice,
-    once over and once under, with matching sign tokens.  With
-    ``strict=False`` the semantic checks are left to ``validate`` and a
-    structurally questionable diagram may be returned for inspection; a
-    crossing with conflicting sign tokens gets sign 0, which ``validate``
-    reports as a ``crossing-sign`` violation.
+    Raises ParseError (with the line and column of the token it refuses)
+    on syntax errors and DiagramError on semantic ones: a crossing id must
+    occur exactly twice, once over and once under, with matching sign
+    tokens.  With ``strict=False`` the semantic checks are left to
+    ``validate`` and a structurally questionable diagram may be returned
+    for inspection; a crossing with conflicting sign tokens gets sign 0,
+    which ``validate`` reports as a ``crossing-sign`` violation.
     """
-    ts = _TokenStream(_tokenize(text))
+    ts = _TokenStream(text)
     head = ts.take()
     if head == TWIN:
         mode = TWIN
     elif head == "knot":
         mode = TWO_KNOT
     else:
-        ln, col = ts.where()
-        raise ParseError(f"expected 'twin' or 'knot', found {head!r}", ln, col)
+        raise ts.error(f"expected 'twin' or 'knot', found {head!r}")
     ts.take("{")
 
     components: list[Component] = []
@@ -245,19 +234,18 @@ def parse(text: str, strict: bool = True) -> Diagram:
         elif kw == "loop":
             kind = LOOP
         else:
-            ln, col = ts.where()
-            raise ParseError(f"expected 'arc' or 'loop', found {kw!r}", ln, col)
+            raise ts.error(f"expected 'arc' or 'loop', found {kw!r}")
         label = ts.take()
+        if label in _PUNCT:
+            raise ts.error(f"expected a label, found {label!r}")
         if label in {c.label for c in components}:
-            ln, col = ts.where()
-            raise ParseError(f"duplicate component label {label!r}", ln, col)
+            raise ts.error(f"duplicate component label {label!r}")
         ts.take(":")
 
         passages: list[Passage] = []
         surgery: tuple[int, int, int] | None = None
         while ts.peek() not in (";", None):
-            tok = ts.peek()
-            if tok == "(":
+            if ts.peek() == "(":
                 ts.take("(")
                 gamma = _int_token(ts)
                 ts.take(",")
@@ -267,15 +255,13 @@ def parse(text: str, strict: bool = True) -> Diagram:
                 ts.take(")")
                 surgery = (gamma, beta, alpha)
                 break
-            ln, col = ts.where()
             word = ts.take()
-            if len(word) < 2 or word[0] not in (OVER, UNDER) or not word[1:].isdecimal():
-                raise ParseError(f"bad passage token {word!r}", ln, col)
+            if len(word) < 2 or word[0] not in (OVER, UNDER) or not _is_int(word[1:]):
+                raise ts.error(f"bad passage token {word!r}")
             role, cid = word[0], int(word[1:])
             sign_tok = ts.take()
             if sign_tok not in "+-":
-                ln2, col2 = ts.where()
-                raise ParseError(f"passage {word!r} lacks a sign token", ln2, col2)
+                raise ts.error(f"passage {word!r} lacks a sign token")
             sign = 1 if sign_tok == "+" else -1
             if cid in signs and signs[cid] != sign:
                 if strict:
@@ -289,8 +275,8 @@ def parse(text: str, strict: bool = True) -> Diagram:
 
     ts.take("}")
     if ts.peek() is not None:
-        ln, col = ts.where()
-        raise ParseError(f"trailing input {ts.peek()!r}", ln, col)
+        extra = ts.take()
+        raise ts.error(f"trailing input {extra!r}")
 
     d = Diagram(mode, tuple(components), dict(signs))
     if strict:
@@ -301,15 +287,19 @@ def parse(text: str, strict: bool = True) -> Diagram:
     return d
 
 
+def _is_int(tok: str) -> bool:
+    """INT of the grammar: ASCII digits only, though ``int`` also reads
+    other decimal digits, such as an Arabic-Indic three."""
+    return tok.isdecimal() and tok.isascii()
+
+
 def _int_token(ts: _TokenStream) -> int:
-    neg = False
-    if ts.peek() == "-":
+    neg = ts.peek() == "-"
+    if neg:
         ts.take("-")
-        neg = True
-    ln, col = ts.where()
     tok = ts.take()
-    if not tok.isdecimal():
-        raise ParseError(f"expected integer, found {tok!r}", ln, col)
+    if not _is_int(tok):
+        raise ts.error(f"expected integer, found {tok!r}")
     return -int(tok) if neg else int(tok)
 
 

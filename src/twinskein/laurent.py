@@ -30,7 +30,7 @@ class LaurentPoly:
     equality of polynomials.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -41,7 +41,6 @@ class LaurentPoly:
                 if acc[int(exp)] == 0:
                     del acc[int(exp)]
         self._terms = acc
-        self._hash: int | None = None
 
     # -- constructors ------------------------------------------------
 
@@ -52,11 +51,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return _ONE
-
-    @classmethod
-    def var_power(cls, exp: int, coeff: int = 1) -> "LaurentPoly":
-        """The monomial coeff * t^exp."""
-        return cls({exp: coeff})
 
     # -- inspection ---------------------------------------------------
 
@@ -94,7 +88,6 @@ class LaurentPoly:
                 del acc[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = acc
-        out._hash = None
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -105,7 +98,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: -c for e, c in self._terms.items()}
-        out._hash = None
         return out
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -122,31 +114,15 @@ class LaurentPoly:
                     del acc[e]
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = acc
-        out._hash = None
         return out
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise LaurentError("negative powers are not defined in this ring")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({e: c * k for e, k in self._terms.items()})
 
     def substitute(self, value: "LaurentPoly") -> "LaurentPoly":
         """Evaluate at another polynomial.  Requires nonnegative exponents."""
         if self._terms and self.min_exponent() < 0:
             raise LaurentError("substitution requires nonnegative exponents")
-        acc = LaurentPoly.zero()
-        for e, c in sorted(self._terms.items()):
-            acc = acc + (value ** e).scale(c)
+        acc = _ZERO
+        for e in range(max(self._terms, default=-1), -1, -1):  # Horner's rule
+            acc = acc * value + LaurentPoly({0: self._terms.get(e, 0)})
         return acc
 
     # -- equality / hashing --------------------------------------------
@@ -157,9 +133,7 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.pairs())
-        return self._hash
+        return hash(self.pairs())
 
     # -- text forms -------------------------------------------------
 

@@ -56,7 +56,10 @@ class TestValidate:
     @pytest.mark.parametrize("text", [
         "twin { arc A: O\u00b2+ U2+ ; arc B: ; }\n",
         "twin { arc A: ; arc B: ; loop T: (0, \u00b2/1) ; }\n",
-    ], ids=["passage", "surgery"])
+        "twin { arc A: O\u0663+ U3+ ; arc B: ; }\n",
+        "twin { arc A: ; arc B: ; loop T: (0, \u0663/1) ; }\n",
+    ], ids=["passage", "surgery", "passage-arabic-indic",
+            "surgery-arabic-indic"])
     def test_superscript_digit_is_a_parse_error(self, capsys, tmp_path,
                                                 command, text):
         f = tmp_path / "sup.twin"

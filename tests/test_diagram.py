@@ -88,15 +88,78 @@ class TestParse:
         ("twin {\n  arc A: O\u00b2+ U2+ ;\n  arc B: ;\n}", 2, "O\u00b2"),
         ("twin { arc A: ; arc B: ;\n\n  loop T: (0, \u00b2/1) ; }", 3,
          "\u00b2"),
-    ], ids=["passage", "surgery"])
+        ("twin {\n  arc A: O\u0663+ U3+ ;\n  arc B: ;\n}", 2, "O\u0663"),
+        ("twin { arc A: ; arc B: ;\n\n  loop T: (0, \u0663/1) ; }", 3,
+         "\u0663"),
+    ], ids=["passage", "surgery", "passage-arabic-indic",
+            "surgery-arabic-indic"])
     def test_superscript_digit_is_a_parse_error(self, text, line, token):
-        # str.isdigit accepts a superscript two, int() refuses it
+        # str.isdigit accepts a superscript two and an Arabic-Indic three,
+        # and int() reads the three as 3; INT is ASCII digits only
         assert token[-1].isdigit()
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert exc.value.line == line
         assert exc.value.col == text.splitlines()[line - 1].index(token) + 1
         assert repr(token) in str(exc.value)
+
+    @pytest.mark.parametrize("text,message,line,col", [
+        pytest.param("twim { arc A: ; }",
+                     "expected 'twin' or 'knot', found 'twim'", 1, 1,
+                     id="head"),
+        pytest.param("twin { arx A: ; }",
+                     "expected 'arc' or 'loop', found 'arx'", 1, 8,
+                     id="keyword"),
+        pytest.param("twin { arc A: ; arc A: ; }",
+                     "duplicate component label 'A'", 1, 21, id="duplicate"),
+        pytest.param("twin { arc A: O1 ; arc B: ; }",
+                     "passage 'O1' lacks a sign token", 1, 18, id="sign"),
+        pytest.param("twin { arc ,: ; arc B: ; }",
+                     "expected a label, found ','", 1, 12, id="label-comma"),
+        pytest.param("twin { arc (: ; arc B: ; }",
+                     "expected a label, found '('", 1, 12, id="label-paren"),
+        pytest.param("twin { arc :: ; arc B: ; }",
+                     "expected a label, found ':'", 1, 12, id="label-colon"),
+        pytest.param("twin { arc {: ; arc B: ; }",
+                     "expected a label, found '{'", 1, 12, id="label-brace"),
+        pytest.param("twin { arc A ; }", "expected ':', found ';'", 1, 14,
+                     id="expected-token"),
+        pytest.param("twin { arc A: X1+ ; arc B: ; }",
+                     "bad passage token 'X1'", 1, 15, id="passage"),
+        pytest.param("twin { arc A: ; arc B: ; loop T: (0, x/1) ; }",
+                     "expected integer, found 'x'", 1, 38, id="integer"),
+        pytest.param("twin { arc A: ; arc B: ; } }", "trailing input '}'",
+                     1, 28, id="trailing"),
+        # an unexpected character is refused before any grammar rule
+        pytest.param("twim { arc A: $ ; }", "unexpected character '$'",
+                     1, 15, id="character"),
+        # lines end wherever str.splitlines ends them, comments too
+        pytest.param("# header\ntwin {\n  arc A: O1+ U1+ ;\n  arc B: X2+ ;\n}",
+                     "bad passage token 'X2'", 4, 10, id="multi-line"),
+        pytest.param("twin {\r\n  arc A: ;\r\n  arc B ;\r\n}",
+                     "expected ':', found ';'", 3, 9, id="crlf"),
+        pytest.param("# header\rtwin { # comment\r  arc A: ;\r  arc B: ; }\r}",
+                     "trailing input '}'", 5, 1, id="lone-cr"),
+        pytest.param("twin {\u2028arc A: ; # comment\x0c arc B: X1+ ; }",
+                     "bad passage token 'X1'", 3, 9, id="other-line-breaks"),
+        # once the input has ended, the error is at the last token
+        pytest.param("", "unexpected end of input", 1, 1, id="end-empty"),
+        pytest.param("twin", "unexpected end of input (wanted '{')", 1, 1,
+                     id="end-wanted"),
+        pytest.param("twin {\n  arc A: O1+ U1+ ;\n  arc B: O2",
+                     "unexpected end of input", 3, 10, id="end-sign"),
+        pytest.param("twin { arc A: ;\n  # the end\n",
+                     "unexpected end of input", 1, 15, id="end-comment"),
+        pytest.param("twin { arc A: ; arc B:",
+                     "unexpected end of input (wanted ';')", 1, 22,
+                     id="end-component"),
+    ])
+    def test_parse_error_names_the_refused_token(self, text, message, line,
+                                                 col):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"{message} (line {line}, column {col})", line, col)
 
     def test_mode_arc_count_enforced(self):
         with pytest.raises(DiagramError, match="mode-arcs"):

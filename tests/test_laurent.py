@@ -56,6 +56,12 @@ class TestBasics:
     def test_no_zero_coefficients_stored(self):
         assert P({5: 0, 1: 2}).pairs() == ((1, 2),)
 
+    def test_equal_polynomials_hash_equal(self):
+        # built in different term orders
+        p, q = P({2: 1, 0: -1}), ONE - P({0: 2}) + P({2: 1})
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, -(-p)}) == 1
+
     def test_substitute(self):
         # z^2 + 1 at z = t - t^-1
         conway_trefoil = P({2: 1, 0: 1})
