@@ -34,6 +34,7 @@ UNDER = "U"
 TWIN_ARC = "twin_arc"
 KNOT_ARC = "knot_arc"
 LOOP = "loop"
+_ARC_KINDS = (TWIN_ARC, KNOT_ARC)
 
 TWIN = "twin"
 TWO_KNOT = "two_knot"
@@ -86,7 +87,7 @@ class Component(NamedTuple):
 
     @property
     def is_arc(self) -> bool:
-        return self.kind in (TWIN_ARC, KNOT_ARC)
+        return self.kind in _ARC_KINDS
 
     @property
     def is_loop(self) -> bool:
@@ -132,11 +133,15 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
 
 
 def _build_slot_index(d: Diagram) -> dict[int, tuple[tuple[int, int], ...]]:
-    slots: dict[int, list[tuple[int, int]]] = {}
+    index: dict[int, tuple[tuple[int, int], ...]] = {}
     for ci, comp in enumerate(d.components):
         for pi, p in enumerate(comp.passages):
-            slots.setdefault(p.crossing, []).append((ci, pi))
-    return {cid: tuple(s) for cid, s in slots.items()}
+            cid = p.crossing
+            if cid in index:
+                index[cid] += ((ci, pi),)
+            else:
+                index[cid] = ((ci, pi),)
+    return index
 
 
 class Violation(NamedTuple):
@@ -437,8 +442,8 @@ def classify_crossing(d: Diagram, crossing: int) -> str:
     if crossing not in d.crossings or len(slots) != 2:
         raise DiagramError(f"unknown crossing id {crossing}")
     (ci1, _), (ci2, _) = slots
-    c1, c2 = d.components[ci1], d.components[ci2]
-    arcs = c1.is_arc + c2.is_arc
+    comps = d.components
+    arcs = (comps[ci1].kind in _ARC_KINDS) + (comps[ci2].kind in _ARC_KINDS)
     if arcs == 2:
         return ARC_SELF if ci1 == ci2 else ARC_ARC
     if arcs == 1:
@@ -470,23 +475,6 @@ def reverse_component(d: Diagram, label: str) -> Diagram:
                          comp.surgery)
     comps = d.components[:idx] + (new_comp,) + d.components[idx + 1:]
     return Diagram(d.mode, comps, new_signs)
-
-
-def rotate_loop(d: Diagram, label: str, offset: int) -> Diagram:
-    """Rotate a loop's cyclic passage sequence (a representation change only)."""
-    idx = d.component_index(label)
-    comp = d.components[idx]
-    if not comp.is_loop:
-        raise DiagramError(f"component {label!r} is not a loop")
-    n = len(comp.passages)
-    if n:
-        offset %= n
-        rotated = comp.passages[offset:] + comp.passages[:offset]
-    else:
-        rotated = comp.passages
-    new_comp = Component(comp.kind, comp.label, rotated, comp.surgery)
-    comps = d.components[:idx] + (new_comp,) + d.components[idx + 1:]
-    return Diagram(d.mode, comps, dict(d.crossings))
 
 
 # ---------------------------------------------------------------------------

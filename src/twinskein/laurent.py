@@ -16,11 +16,12 @@ class LaurentError(ValueError):
     pass
 
 
+# digits are ASCII only: \d would also match, say, an Arabic-Indic three
 _TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?\d+))?)?$"
+    r"^(?P<coeff>[0-9]+)?(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?[0-9]+))?)?$"
 )
 # whitespace inside a number: "1 1" is not 11
-_DIGIT_GAP_RE = re.compile(r"\d\s+\d")
+_DIGIT_GAP_RE = re.compile(r"[0-9]\s+[0-9]")
 
 
 class LaurentPoly:

@@ -15,15 +15,14 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from .diagram import (
-    ARC_ARC,
     Component,
     Diagram,
     DiagramError,
+    LOOP,
     OVER,
     TWIN,
     TWIN_ARC,
     UNDER,
-    classify_crossing,
     met_once,
     surgery_text,
 )
@@ -85,6 +84,13 @@ def _pair_at(comp: Component, i: int) -> tuple[int, int]:
     return i, (i + 1) % n
 
 
+def _site(d: Diagram, at: tuple[str, int]) -> tuple[int, int, int]:
+    """(component index, a, b) of the adjacent pair named by ``at``."""
+    label, i = at
+    ci = d.component_index(label)
+    return (ci, *_pair_at(d.components[ci], i))
+
+
 def _other_slot(d: Diagram, crossing: int, not_slot: tuple[int, int]) -> tuple[int, int]:
     for s in d.slot_index().get(crossing, ()):
         if s != not_slot:
@@ -103,10 +109,12 @@ def _neighbor(comp: Component, pos: int, step: int) -> int | None:
 def _drop_crossings(d: Diagram, cids: set[int]) -> Diagram:
     comps = tuple(
         Component(c.kind, c.label,
-                  tuple(p for p in c.passages if p.crossing not in cids),
+                  tuple([p for p in c.passages if p.crossing not in cids]),
                   c.surgery)
         for c in d.components)
-    signs = {cid: s for cid, s in d.crossings.items() if cid not in cids}
+    signs = dict(d.crossings)
+    for cid in cids:
+        signs.pop(cid, None)
     return Diagram(d.mode, comps, signs)
 
 
@@ -120,6 +128,79 @@ def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
+# move scans
+# ---------------------------------------------------------------------------
+#
+# Each move's precondition is its scan: ``_reduce`` takes a scan's first
+# site, ``find_*`` lists every site, and ``apply_*`` refuses a site the scan
+# does not yield.
+
+
+def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
+    """(component index, a, crossing) for each kink, an adjacent pair
+    (a, a + 1) holding both passages of one crossing, in scan order."""
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        prev = None
+        for b, (cid, _) in enumerate(ps):
+            if cid == prev:
+                yield ci, b - 1, cid
+            prev = cid
+        if comp.kind == LOOP and len(ps) > 1 and ps[0].crossing == prev:
+            yield ci, len(ps) - 1, prev
+
+
+def _same_role_pairs(d: Diagram) -> Iterator[tuple]:
+    """(component index, a, role, x, y, x's other slot, y's other slot) for
+    each adjacent pair (a, a + 1) holding same-role passages of two
+    opposite-sign crossings x then y, in scan order: the pairs at which a
+    bigon may cancel."""
+    signs = d.crossings
+    index = None
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        n = len(ps)
+        if n < 2:
+            continue
+        x, rx = ps[0]
+        a = 0
+        for y, ry in ps[1:] + ps[:1] if comp.kind == LOOP else ps[1:]:
+            if rx == ry and x != y and signs[x] != signs[y]:
+                if index is None:
+                    index = d.slot_index()
+                b = a + 1 if a + 1 < n else 0
+                (xc, xp), x2 = index[x]
+                if xc == ci and xp == a:
+                    xc, xp = x2
+                (yc, yp), y2 = index[y]
+                if yc == ci and yp == b:
+                    yc, yp = y2
+                yield ci, a, rx, x, y, (xc, xp), (yc, yp)
+            x, rx = y, ry
+            a += 1
+
+
+def _r2_pairs(d: Diagram) -> Iterator[tuple[int, int, int, int]]:
+    """(component index, a, x, y) for each bigon: an adjacent pair of
+    same-role passages of opposite-sign crossings x then y whose other
+    passages sit adjacently in reversed order, in scan order."""
+    comps = d.components
+    for ci, a, _, x, y, (xc, xp), (yc, yp) in _same_role_pairs(d):
+        if xc == yc and _neighbor(comps[yc], yp, +1) == xp:
+            yield ci, a, x, y
+
+
+def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
+    """(component index, a, b) for each adjacent pair of over-passages, in
+    scan order."""
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        for a, b in _adjacent_pairs(comp):
+            if ps[a].role == OVER and ps[b].role == OVER:
+                yield ci, a, b
+
+
+# ---------------------------------------------------------------------------
 # individual moves
 # ---------------------------------------------------------------------------
 
@@ -127,76 +208,39 @@ def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
 def apply_r1(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Remove a kink: the two passages of one crossing sit adjacently on one
     component (consecutively, wrapping for loops)."""
-    label, i = at
-    comp = d.component(label)
-    a, b = _pair_at(comp, i)
-    pa, pb = comp.passages[a], comp.passages[b]
-    if pa.crossing != pb.crossing:
-        raise MoveError(
-            f"passages at {label}[{a}],[{b}] belong to different crossings")
-    return _drop_crossings(d, {pa.crossing})
-
-
-def _r2_refusal(d: Diagram, ci: int, a: int, b: int) -> str | None:
-    """Why no bigon cancels at the adjacent pair (a, b) of component ``ci``;
-    None when one does."""
-    pa, pb = d.components[ci].passages[a], d.components[ci].passages[b]
-    x, y = pa.crossing, pb.crossing
-    if x == y or pa.role != pb.role:
-        return "pointed passages must share a role on distinct crossings"
-    if d.crossings[x] == d.crossings[y]:
-        return "the two crossings must have opposite signs"
-    sx = _other_slot(d, x, (ci, a))
-    sy = _other_slot(d, y, (ci, b))
-    if sx[0] != sy[0]:
-        return "partner passages lie on different components"
-    if _neighbor(d.components[sx[0]], sy[1], +1) != sx[1]:
-        return "partner passages are not adjacent in reversed order"
-    return None
+    ci, a, _ = _site(d, at)
+    for cj, aj, cid in _r1_pairs(d):
+        if (cj, aj) == (ci, a):
+            return _drop_crossings(d, {cid})
+    raise MoveError(f"no kink at {at[0]}[{a}]: the passages belong to "
+                    f"different crossings")
 
 
 def apply_r2(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Cancel a bigon: adjacent same-role passages of two opposite-sign
     crossings whose partner passages are adjacent in reversed order."""
-    label, i = at
-    ci = d.component_index(label)
-    comp = d.components[ci]
-    a, b = _pair_at(comp, i)
-    refusal = _r2_refusal(d, ci, a, b)
-    if refusal is not None:
-        raise MoveError(refusal)
-    return _drop_crossings(d, {comp.passages[a].crossing,
-                               comp.passages[b].crossing})
+    ci, a, _ = _site(d, at)
+    for cj, aj, x, y in _r2_pairs(d):
+        if (cj, aj) == (ci, a):
+            return _drop_crossings(d, {x, y})
+    raise MoveError(f"no bigon at {at[0]}[{a}]")
 
 
 def apply_welded_commute(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Exchange two consecutive over-passages on one component (the allowed
     forbidden move of the welded calculus)."""
-    label, i = at
-    ci = d.component_index(label)
-    comp = d.components[ci]
-    a, b = _pair_at(comp, i)
-    if comp.passages[a].role != OVER or comp.passages[b].role != OVER:
+    site = _site(d, at)
+    if site not in _commute_pairs(d):
         raise MoveError("only adjacent over-passages commute")
-    return _swap(d, ci, a, b)
+    return _swap(d, *site)
 
 
 def apply_f_move(d: Diagram, crossing: int) -> Diagram:
     """Slide a strand off past a twin intersection point: remove a crossing
     between the two twin arcs whose passages sit at the same endpoint marker."""
-    if d.mode != TWIN:
-        raise MoveError("endpoint moves require twin mode")
-    slots = d.slot_index().get(crossing, ())
-    if crossing not in d.crossings or len(slots) != 2:
-        raise MoveError(f"unknown crossing id {crossing}")
-    (c1, p1), (c2, p2) = slots
-    comp1, comp2 = d.components[c1], d.components[c2]
-    if c1 == c2 or comp1.kind != TWIN_ARC or comp2.kind != TWIN_ARC:
-        raise MoveError("the crossing must join the two twin arcs")
-    at_plus = p1 == 0 and p2 == 0
-    at_minus = (p1 == len(comp1.passages) - 1 and p2 == len(comp2.passages) - 1)
-    if not (at_plus or at_minus):
-        raise MoveError("passages are not both adjacent to the same marker")
+    if crossing not in find_f_moves(d):
+        raise MoveError(f"crossing {crossing} does not join the two twin "
+                        f"arcs at one endpoint marker")
     return _drop_crossings(d, {crossing})
 
 
@@ -266,46 +310,22 @@ def apply_r3(d: Diagram, at: tuple[str, int]) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def _r1_pairs(d: Diagram) -> Iterator[tuple[Component, int]]:
-    """(component, a) for each kink, the adjacent pair (a, a + 1) holding
-    both passages of one crossing, in scan order."""
-    for comp in d.components:
-        ps = comp.passages
-        for a, b in _adjacent_pairs(comp):
-            if ps[a].crossing == ps[b].crossing:
-                yield comp, a
-
-
-def _r2_pairs(d: Diagram) -> Iterator[tuple[Component, int, int]]:
-    """(component, a, b) for each adjacent pair (a, b) at which
-    ``apply_r2`` cancels a bigon, in scan order."""
-    for ci, comp in enumerate(d.components):
-        for a, b in _adjacent_pairs(comp):
-            if _r2_refusal(d, ci, a, b) is None:
-                yield comp, a, b
-
-
 def find_r1_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(comp.label, a) for comp, a in _r1_pairs(d)]
+    return [(d.components[ci].label, a) for ci, a, _ in _r1_pairs(d)]
 
 
 def find_r2_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(comp.label, a) for comp, a, _ in _r2_pairs(d)]
+    return [(d.components[ci].label, a) for ci, a, _, _ in _r2_pairs(d)]
 
 
 def find_commute_moves(d: Diagram) -> list[tuple[str, int]]:
-    out = []
-    for comp in d.components:
-        for a, b in _adjacent_pairs(comp):
-            if comp.passages[a].role == OVER and comp.passages[b].role == OVER:
-                out.append((comp.label, a))
-    return out
+    return [(d.components[ci].label, a) for ci, a, _ in _commute_pairs(d)]
 
 
 def find_f_moves(d: Diagram) -> list[int]:
-    """Crossings of a valid diagram that ``apply_f_move`` removes: those
-    whose passages are the first of both twin arcs (at the positive marker)
-    or the last of both (at the negative one)."""
+    """Crossings an endpoint move removes: those whose passages are the
+    first of both twin arcs (at the positive marker) or the last of both
+    (at the negative one)."""
     if d.mode != TWIN:
         return []
     a, b = (c.passages for c in d.components if c.kind == TWIN_ARC)
@@ -336,13 +356,12 @@ def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
     """Apply the first enabled crossing-removing move, scanning R1 then R2
     then F, then the reductions that welded commutes enable; None when no
     such move is enabled."""
-    for comp, a in _r1_pairs(d):
-        cid = comp.passages[a].crossing
+    for ci, a, cid in _r1_pairs(d):
         return (_drop_crossings(d, {cid}),
-                MoveEvent(R1, (cid,), (comp.label, a)))
-    for comp, a, b in _r2_pairs(d):
-        cids = (comp.passages[a].crossing, comp.passages[b].crossing)
-        return _drop_crossings(d, set(cids)), MoveEvent(R2, cids, (comp.label, a))
+                MoveEvent(R1, (cid,), (d.components[ci].label, a)))
+    for ci, a, x, y in _r2_pairs(d):
+        return (_drop_crossings(d, {x, y}),
+                MoveEvent(R2, (x, y), (d.components[ci].label, a)))
     fmoves = find_f_moves(d)
     found = (F_MOVE, (fmoves[0],)) if fmoves else _commuted_reduction(d)
     if found is None:
@@ -358,21 +377,20 @@ def _over_runs(comp: Component) -> dict[int, list[int]]:
     over-passages, as positions in run order (wrapping for loops; an
     all-over loop is one cyclic run).  All positions of one run share one
     list."""
-    ps = comp.passages
-    n = len(ps)
-    start = 0
-    if comp.is_loop:
-        # begin scanning right after an under-passage so wrap runs stay whole
-        start = next((i + 1 for i in range(n) if ps[i].role != OVER), 0)
     runs: dict[int, list[int]] = {}
     run: list[int] = []
-    for k in range(n):
-        pos = (start + k) % n
-        if ps[pos].role == OVER:
+    for pos, (_, role) in enumerate(comp.passages):
+        if role == OVER:
             run.append(pos)
             runs[pos] = run
         elif run:
             run = []
+    first = runs.get(0)
+    if comp.kind == LOOP and run and first is not None and first is not run:
+        # the last run wraps round into the first
+        run.extend(first)
+        for pos in first:
+            runs[pos] = run
     return runs
 
 
@@ -390,57 +408,68 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     the run's other passages in their order, so the reduction is made by
     dropping its crossings where they stand: the commutes themselves are
     never applied, and a loop's text may start elsewhere than after them.
+    Each search finds every candidate and keeps the least crossing id.
     """
-    if not find_commute_moves(d):  # no commute can take a first step
+    for _ in _commute_pairs(d):
+        break
+    else:  # no commute can take a first step
         return None
-    runs = [_over_runs(c) for c in d.components]
+    comps = d.components
+    runs = [_over_runs(c) for c in comps]
     index = d.slot_index()
 
-    # kinks: O_c in a run that borders U_c
-    for cid in sorted(d.crossings):
-        slots = index.get(cid, ())
-        if len(slots) != 2 or slots[0][0] != slots[1][0]:
-            continue
-        (ci, p1), (_, p2) = slots
-        comp = d.components[ci]
-        op, up = (p1, p2) if comp.passages[p1].role == OVER else (p2, p1)
-        run = runs[ci].get(op)
-        if run is not None and up in (_neighbor(comp, run[-1], +1),
-                                      _neighbor(comp, run[0], -1)):
-            return R1, (cid,)
+    # kinks: U_c borders the run that holds O_c
+    kinks = []
+    for ci, comp in enumerate(comps):
+        ps = comp.passages
+        n = len(ps)
+        loop = comp.kind == LOOP
+        comp_runs = runs[ci]
+        for pos, run in comp_runs.items():
+            if pos != run[0]:
+                continue  # each run once
+            for q in (run[-1] + 1, run[0] - 1):
+                if loop:
+                    q %= n
+                elif not 0 <= q < n:
+                    continue
+                cid, role = ps[q]
+                if role == OVER:
+                    continue  # an all-over loop
+                (oc, op), other = index[cid]
+                if oc == ci and op == q:
+                    oc, op = other
+                if oc == ci and comp_runs.get(op) is run:
+                    kinks.append(cid)
+    if kinks:
+        return R1, (min(kinks),)
 
     # bigons: adjacent under-pair, opposite signs, over-partners in one run
-    for ci, comp in enumerate(d.components):
-        for a, b in _adjacent_pairs(comp):
-            pa, pb = comp.passages[a], comp.passages[b]
-            if pa.role != UNDER or pb.role != UNDER:
-                continue
-            f, s = pa.crossing, pb.crossing
-            if f == s or d.crossings[f] == d.crossings[s]:
-                continue
-            of_ci, of_p = _other_slot(d, f, (ci, a))
-            os_ci, os_p = _other_slot(d, s, (ci, b))
-            if of_ci != os_ci:
-                continue
-            run = runs[of_ci].get(of_p)
-            if run is not None and runs[of_ci].get(os_p) is run:
+    for _, _, role, f, s, (fc, fp), (sc, sp) in _same_role_pairs(d):
+        if role == UNDER and fc == sc:
+            run = runs[fc].get(fp)
+            if run is not None and runs[fc].get(sp) is run:
                 return R2, (f, s)
 
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:
+        c1, c2 = (ci for ci, c in enumerate(comps) if c.kind == TWIN_ARC)
+        ends = ((0, 0), (len(comps[c1].passages) - 1,
+                         len(comps[c2].passages) - 1))
+
         def reaches(ci: int, pos: int, target: int) -> bool:
             run = runs[ci].get(pos)
             return pos == target or (run is not None
                                      and runs[ci].get(target) is run)
 
-        for cid in sorted(d.crossings):
-            if classify_crossing(d, cid) != ARC_ARC:
-                continue
-            (c1, p1), (c2, p2) = index[cid]
-            for t1, t2 in ((0, 0), (len(d.components[c1].passages) - 1,
-                                    len(d.components[c2].passages) - 1)):
-                if reaches(c1, p1, t1) and reaches(c2, p2, t2):
-                    return F_MOVE, (cid,)
+        slides = []
+        for p1, (cid, _) in enumerate(comps[c1].passages):
+            _, (ci, p2) = index[cid]  # slots in scan order: c1 comes first
+            if ci == c2 and any(reaches(c1, p1, t1) and reaches(c2, p2, t2)
+                                for t1, t2 in ends):
+                slides.append(cid)
+        if slides:
+            return F_MOVE, (min(slides),)
     return None
 
 
@@ -466,8 +495,10 @@ def is_split_simplified(fixed: Diagram) -> bool:
     reached from the arcs through shared crossings: a loop or loop cluster
     is detached from the arcs."""
     comps = fixed.components
+    reached = {ci for ci, c in enumerate(comps) if c.kind != LOOP}
+    if len(reached) == len(comps):
+        return False
     index = fixed.slot_index()
-    reached = {ci for ci, c in enumerate(comps) if c.is_arc}
     todo = list(reached)
     while todo and len(reached) < len(comps):
         for p in comps[todo.pop()].passages:
@@ -499,9 +530,8 @@ def canonical_fingerprint(d: Diagram) -> tuple:
     reversal flips them.
     """
     return (d.mode, tuple(sorted(
-        (c.kind, len(c.passages), sum(p.role == OVER for p in c.passages),
-         c.surgery or ())
-        for c in d.components)))
+        (kind, len(ps), [p.role for p in ps].count(OVER), surgery or ())
+        for kind, _, ps, surgery in d.components)))
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:

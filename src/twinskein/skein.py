@@ -229,25 +229,33 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
+def _eligible(d: Diagram, cid: int) -> bool:
+    """Whether the engine may resolve the crossing: an arc-self or arc-loop
+    crossing, which switches and smooths within the calculus."""
+    return classify_crossing(d, cid) in (ARC_SELF, ARC_LOOP)
+
+
 def eligible_crossings(d: Diagram) -> list[int]:
-    return [cid for cid in d.crossings
-            if classify_crossing(d, cid) in (ARC_SELF, ARC_LOOP)]
+    return [cid for cid in d.crossings if _eligible(d, cid)]
 
 
 def choose_crossing(d: Diagram) -> int:
     """Pick the crossing to resolve, walking the components in walk order:
     the first eligible crossing first met at an under-passage (switching it
     moves the diagram toward descending); failing that, the first eligible
-    crossing met."""
+    crossing met.  Every eligible crossing meets an arc, and the arcs come
+    first in walk order, so the walk ends at the first loop."""
     met: set[int] = set()
     first = None
     for comp in walk_order(d):
+        if comp.kind == LOOP:
+            break
         for p in comp.passages:
             cid = p.crossing
             if cid in met:
                 continue
             met.add(cid)
-            if classify_crossing(d, cid) not in (ARC_SELF, ARC_LOOP):
+            if not _eligible(d, cid):
                 continue
             if p.role == UNDER:
                 return cid

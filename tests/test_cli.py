@@ -225,6 +225,13 @@ class TestInvariant:
         assert out == ""
         assert err == "error: whitespace between digits in '1 1'\n"
 
+    def test_non_ascii_digit_multiplier_is_a_config_error(self, capsys):
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--multiplier", "\u0663t - t^-\u0661")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad term")
+
     def test_zero_multiplier_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
                            "--multiplier", "0")

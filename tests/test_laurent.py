@@ -118,6 +118,12 @@ class TestRendering:
         with pytest.raises(LaurentError, match="whitespace between digits"):
             LaurentPoly.parse(text)
 
+    @pytest.mark.parametrize("text", ["\u0663t - t^-\u0661", "1 + \u0662t"])
+    def test_parse_refuses_non_ascii_digits(self, text):
+        # int() reads any decimal digit; the polynomial text has ASCII ones
+        with pytest.raises(LaurentError, match="bad term"):
+            LaurentPoly.parse(text)
+
 
 terms_st = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
 poly_st = terms_st.map(LaurentPoly)

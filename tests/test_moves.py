@@ -8,6 +8,7 @@ from twinskein.diagram import (
     LOOP,
     OVER,
     TWIN,
+    TWIN_ARC,
     TWO_KNOT,
     UNDER,
     Component,
@@ -17,7 +18,6 @@ from twinskein.diagram import (
     parse,
     random_diagram,
     reverse_component,
-    rotate_loop,
     serialize,
     validate,
 )
@@ -246,15 +246,34 @@ class TestSimplify:
             assert len(fixed.crossings) == len(d.crossings)
 
 
+def rotate_loop(d: Diagram, label: str, offset: int) -> Diagram:
+    """Rotate a loop's cyclic passage sequence (a representation change only)."""
+    idx = d.component_index(label)
+    comp = d.components[idx]
+    assert comp.is_loop, label
+    ps = comp.passages
+    if ps:
+        offset %= len(ps)
+        ps = ps[offset:] + ps[:offset]
+    comps = d.components[:idx] + (comp._replace(passages=ps),) \
+        + d.components[idx + 1:]
+    return Diagram(d.mode, comps, dict(d.crossings))
+
+
 def reference_f_moves(d: Diagram) -> list[int]:
-    """Every crossing at which apply_f_move succeeds, found by trial."""
+    """Every crossing joining the two twin arcs whose passages are both the
+    first, or both the last, of their arcs, found from its slots."""
+    if d.mode != TWIN:
+        return []
     out = []
     for cid in sorted(d.crossings):
-        try:
-            apply_f_move(d, cid)
-        except MoveError:
+        (c1, p1), (c2, p2) = d.slot_index()[cid]
+        comp1, comp2 = d.components[c1], d.components[c2]
+        if c1 == c2 or comp1.kind != TWIN_ARC or comp2.kind != TWIN_ARC:
             continue
-        out.append(cid)
+        if (p1 == p2 == 0 or (p1 == len(comp1.passages) - 1
+                               and p2 == len(comp2.passages) - 1)):
+            out.append(cid)
     return out
 
 
@@ -711,7 +730,6 @@ class TestCanonicalize:
         assert canonicalize(d1) == canonicalize(d2)
 
     def test_loop_rotation_invariance(self):
-        from twinskein.diagram import rotate_loop
         d1 = parse("twin { arc A: O1+ O2+ O3+ ; arc B: ; loop T: U1+ U2+ U3+ ; }")
         for offset in range(1, 3):
             assert canonicalize(rotate_loop(d1, "T", offset)) == canonicalize(d1)
