@@ -410,10 +410,8 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     never applied, and a loop's text may start elsewhere than after them.
     Each search finds every candidate and keeps the least crossing id.
     """
-    for _ in _commute_pairs(d):
-        break
-    else:  # no commute can take a first step
-        return None
+    if next(_commute_pairs(d), None) is None:
+        return None  # no commute can take a first step
     comps = d.components
     runs = [_over_runs(c) for c in comps]
     index = d.slot_index()
