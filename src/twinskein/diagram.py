@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import re
 from collections import namedtuple
+from operator import attrgetter
 from typing import NamedTuple
 
 OVER = "O"
@@ -313,11 +314,21 @@ def _int_token(ts: _TokenStream) -> int:
 # ---------------------------------------------------------------------------
 
 
+_label = attrgetter("label")
+
+
 def walk_order(d: Diagram) -> list[Component]:
     """The components in reading order: the arcs, then the loops, each by
     label."""
-    arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
-    loops = sorted((c for c in d.components if c.is_loop), key=lambda c: c.label)
+    arcs: list[Component] = []
+    loops: list[Component] = []
+    for c in d.components:
+        if c.kind == LOOP:
+            loops.append(c)
+        elif c.kind in _ARC_KINDS:
+            arcs.append(c)
+    arcs.sort(key=_label)
+    loops.sort(key=_label)
     return arcs + loops
 
 

@@ -408,7 +408,8 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     the run's other passages in their order, so the reduction is made by
     dropping its crossings where they stand: the commutes themselves are
     never applied, and a loop's text may start elsewhere than after them.
-    Each search finds every candidate and keeps the least crossing id.
+    The kink and slide searches keep the least crossing id among all they
+    find, as a search in crossing order would.
     """
     if next(_commute_pairs(d), None) is None:
         return None  # no commute can take a first step
