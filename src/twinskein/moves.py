@@ -131,7 +131,8 @@ def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
 # move scans
 # ---------------------------------------------------------------------------
 #
-# Each move's precondition is its scan: ``_reduce`` takes a scan's first
+# The one precondition of an R1, R2 or commute move is its scan below, and
+# that of an F move is ``find_f_moves``: ``_reduce`` takes a scan's first
 # site, ``find_*`` lists every site, and ``apply_*`` refuses a site the scan
 # does not yield.
 
