@@ -16,9 +16,10 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
     passage   := ("O" | "U") INT ("+" | "-")
     surgery   := "(" INT "," INT "/" INT ")"
 
-LABEL is a run of letters, digits and underscores; INT is a run of ASCII
-digits 0-9.  A parse error names the line and column of the token it
-refuses, or of the last token when the input ends too soon.
+LABEL is read as ``\\w+``: a run of letters, digits and underscores of any
+script, such as ``A٣``.  INT is a run of ASCII digits 0-9 only.  A parse
+error names the line and column of the token it refuses, or of the last
+token when the input ends too soon.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import random
 import re
 from collections import namedtuple
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 OVER = "O"
@@ -170,43 +171,10 @@ class ValidationReport(NamedTuple):
 _TOKEN = re.compile(
     r"[{}();:,/+-]|\w+|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|\S")
 _PUNCT = frozenset("{}();:,/+-")
-
-
-class _TokenStream:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = [t for t in _TOKEN.findall(text) if t[0] != "#"]
-        self.pos = 0  # the number of tokens taken
-        # an unexpected character is refused before any grammar rule is
-        # applied; past this loop every token is a punctuation mark or a word
-        for i, tok in enumerate(self.tokens):
-            if tok not in _PUNCT and not (tok[0].isalnum() or tok[0] == "_"):
-                self.pos = i + 1
-                raise self.error(f"unexpected character {tok!r}")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: str | None = None) -> str:
-        if self.pos == len(self.tokens):
-            raise self.error(
-                f"unexpected end of input (wanted {expected!r})" if expected
-                else "unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}, found {tok!r}")
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        """A ParseError at the token taken last, which is the one refused,
-        or the last token once the input has ended."""
-        if not self.pos:
-            return ParseError(message, 1, 1)
-        starts = [m.start() for m in _TOKEN.finditer(self.text)
-                  if m[0][0] != "#"]
-        lines = self.text[:starts[self.pos - 1] + 1].splitlines()
-        return ParseError(message, len(lines), len(lines[-1]))
+#: A refused character: neither space, nor a word's, nor a punctuation
+#: mark, nor the ``#`` that starts a comment.  It may sit in a comment.
+_STRAY = re.compile(r"[^\s\w{}();:,/+#-]")
+_PASSAGE = re.compile(r"[OU][0-9]+")
 
 
 def parse(text: str, strict: bool = True) -> Diagram:
@@ -220,93 +188,141 @@ def parse(text: str, strict: bool = True) -> Diagram:
     for inspection; a crossing with conflicting sign tokens gets sign 0,
     which ``validate`` reports as a ``crossing-sign`` violation.
     """
-    ts = _TokenStream(text)
-    head = ts.take()
-    if head == TWIN:
-        mode = TWIN
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
+    # an unexpected character is refused before any grammar rule is
+    # applied; past this check every token is a punctuation mark or a word
+    if _STRAY.search(text):
+        for i, tok in enumerate(tokens):
+            if _STRAY.fullmatch(tok):
+                raise _refusal(text, tokens, i,
+                               f"unexpected character {tok!r}")
+    tokens.append("")  # the end of input: no token is empty
+
+    head = tokens[0]
+    if head == "twin":
+        mode, arc_kind = TWIN, TWIN_ARC
     elif head == "knot":
-        mode = TWO_KNOT
+        mode, arc_kind = TWO_KNOT, KNOT_ARC
     else:
-        raise ts.error(f"expected 'twin' or 'knot', found {head!r}")
-    ts.take("{")
+        raise _refusal(text, tokens, 0,
+                       f"expected 'twin' or 'knot', found {head!r}")
+    if tokens[1] != "{":
+        raise _wanted(text, tokens, 1, "{")
 
     components: list[Component] = []
+    labels: set[str] = set()
     signs: dict[int, int] = {}
-
-    while ts.peek() != "}":
-        kw = ts.take()
+    i = 2  # the index of the next token
+    while tokens[i] != "}":
+        kw = tokens[i]
         if kw == "arc":
-            kind = TWIN_ARC if mode == TWIN else KNOT_ARC
+            kind = arc_kind
         elif kw == "loop":
             kind = LOOP
         else:
-            raise ts.error(f"expected 'arc' or 'loop', found {kw!r}")
-        label = ts.take()
-        if label in _PUNCT:
-            raise ts.error(f"expected a label, found {label!r}")
-        if label in {c.label for c in components}:
-            raise ts.error(f"duplicate component label {label!r}")
-        ts.take(":")
+            raise _refusal(text, tokens, i,
+                           f"expected 'arc' or 'loop', found {kw!r}")
+        label = tokens[i + 1]
+        if not label or label in _PUNCT:
+            raise _refusal(text, tokens, i + 1,
+                           f"expected a label, found {label!r}")
+        if label in labels:
+            raise _refusal(text, tokens, i + 1,
+                           f"duplicate component label {label!r}")
+        labels.add(label)
+        if tokens[i + 2] != ":":
+            raise _wanted(text, tokens, i + 2, ":")
+        i += 3
 
         passages: list[Passage] = []
         surgery: tuple[int, int, int] | None = None
-        while ts.peek() not in (";", None):
-            if ts.peek() == "(":
-                ts.take("(")
-                gamma = _int_token(ts)
-                ts.take(",")
-                beta = _int_token(ts)
-                ts.take("/")
-                alpha = _int_token(ts)
-                ts.take(")")
+        word = tokens[i]
+        while word and word != ";":
+            if word == "(":
+                gamma, i = _int_at(text, tokens, i + 1)
+                if tokens[i] != ",":
+                    raise _wanted(text, tokens, i, ",")
+                beta, i = _int_at(text, tokens, i + 1)
+                if tokens[i] != "/":
+                    raise _wanted(text, tokens, i, "/")
+                alpha, i = _int_at(text, tokens, i + 1)
+                if tokens[i] != ")":
+                    raise _wanted(text, tokens, i, ")")
+                i += 1
                 surgery = (gamma, beta, alpha)
                 break
-            word = ts.take()
-            if len(word) < 2 or word[0] not in (OVER, UNDER) or not _is_int(word[1:]):
-                raise ts.error(f"bad passage token {word!r}")
-            role, cid = word[0], int(word[1:])
-            sign_tok = ts.take()
-            if sign_tok not in "+-":
-                raise ts.error(f"passage {word!r} lacks a sign token")
-            sign = 1 if sign_tok == "+" else -1
-            if cid in signs and signs[cid] != sign:
+            if not _PASSAGE.fullmatch(word):
+                raise _refusal(text, tokens, i, f"bad passage token {word!r}")
+            sign_tok = tokens[i + 1]
+            if sign_tok == "+":
+                sign = 1
+            elif sign_tok == "-":
+                sign = -1
+            else:
+                raise _refusal(text, tokens, i + 1,
+                               f"passage {word!r} lacks a sign token")
+            cid = int(word[1:])
+            if signs.setdefault(cid, sign) != sign:
                 if strict:
                     raise DiagramError(
                         f"crossing {cid} carries conflicting sign tokens")
-                sign = 0
-            signs[cid] = sign
-            passages.append(Passage(cid, role))
-        ts.take(";")
+                signs[cid] = 0
+            passages.append(Passage(cid, word[0]))
+            i += 2
+            word = tokens[i]
+        if tokens[i] != ";":
+            raise _wanted(text, tokens, i, ";")
+        i += 1
         components.append(Component(kind, label, tuple(passages), surgery))
 
-    ts.take("}")
-    if ts.peek() is not None:
-        extra = ts.take()
-        raise ts.error(f"trailing input {extra!r}")
+    if tokens[i + 1]:
+        raise _refusal(text, tokens, i + 1,
+                       f"trailing input {tokens[i + 1]!r}")
 
-    d = Diagram(mode, tuple(components), dict(signs))
+    d = Diagram(mode, tuple(components), signs)
     if strict:
         report = validate(d)
-        if not report.ok:
+        if report.violations:
             raise DiagramError("; ".join(
                 f"{v.code}: {v.message}" for v in report.violations))
     return d
 
 
-def _is_int(tok: str) -> bool:
-    """INT of the grammar: ASCII digits only, though ``int`` also reads
-    other decimal digits, such as an Arabic-Indic three."""
-    return tok.isdecimal() and tok.isascii()
-
-
-def _int_token(ts: _TokenStream) -> int:
-    neg = ts.peek() == "-"
+def _int_at(text: str, tokens: list[str], i: int) -> tuple[int, int]:
+    """The INT, perhaps negated, that starts at token i, and the index of
+    the token after it.  INT is ASCII digits only, though ``int`` also
+    reads other decimal digits, such as an Arabic-Indic three."""
+    neg = tokens[i] == "-"
     if neg:
-        ts.take("-")
-    tok = ts.take()
-    if not _is_int(tok):
-        raise ts.error(f"expected integer, found {tok!r}")
-    return -int(tok) if neg else int(tok)
+        i += 1
+    tok = tokens[i]
+    if not (tok.isdecimal() and tok.isascii()):
+        raise _refusal(text, tokens, i, f"expected integer, found {tok!r}")
+    return (-int(tok) if neg else int(tok)), i + 1
+
+
+def _wanted(text: str, tokens: list[str], i: int, want: str) -> ParseError:
+    """A ParseError that refuses token i where the token ``want`` belongs."""
+    return _refusal(text, tokens, i, f"expected {want!r}, found {tokens[i]!r}",
+                    want)
+
+
+def _refusal(text: str, tokens: list[str], i: int, message: str,
+             wanted: str | None = None) -> ParseError:
+    """A ParseError that refuses token i with the message.  If i is the
+    end of input, the error says so instead, naming the wanted token if
+    there is one, and is placed at the last token."""
+    if not tokens[i]:
+        message = (f"unexpected end of input (wanted {wanted!r})" if wanted
+                   else "unexpected end of input")
+        i -= 1
+    if i < 0:
+        return ParseError(message, 1, 1)
+    start = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != "#"][i]
+    lines = text[:start + 1].splitlines()
+    return ParseError(message, len(lines), len(lines[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +374,12 @@ def normalize(d: Diagram) -> Diagram:
 
 
 def serialize(d: Diagram) -> str:
-    """Deterministic single-line text of the normal form."""
+    """Deterministic single-line text of the normal form.  A crossing whose
+    sign is not +1 or -1 has no text, so it is refused."""
+    for cid, sign in sorted(d.crossings.items()):
+        if sign not in (1, -1):
+            raise DiagramError(
+                f"crossing {cid} has sign {sign}; a sign is +1 or -1")
     nd = normalize(d)
     parts = [TWIN if nd.mode == TWIN else "knot", "{"]
     for comp in nd.components:
@@ -379,8 +400,42 @@ def serialize(d: Diagram) -> str:
 # ---------------------------------------------------------------------------
 
 
+_VALID = ValidationReport()
+_SIGNS = frozenset((1, -1))
+_ROLES = frozenset((OVER, UNDER))
+_crossing = itemgetter(0)
+_role = itemgetter(1)
+
+
 def validate(d: Diagram) -> ValidationReport:
     """Check every Diagram invariant; the report is empty iff the diagram is valid."""
+    # one counting pass: the arcs per kind, surgery on arcs, and every
+    # passage.  With n crossings in the map, 2n distinct passages through
+    # them, each over or under, meet each crossing exactly once over and
+    # once under.  Only a diagram that fails this is checked rule by rule.
+    twin_arcs = knot_arcs = 0
+    surgery_on_arc = False
+    passages: list[Passage] = []
+    for c in d.components:
+        kind = c.kind
+        if kind == TWIN_ARC:
+            twin_arcs += 1
+        elif kind == KNOT_ARC:
+            knot_arcs += 1
+        if kind != LOOP and c.surgery is not None:
+            surgery_on_arc = True
+        passages += c.passages
+    crossings = d.crossings
+    if (not surgery_on_arc
+            and (twin_arcs == 2 and not knot_arcs if d.mode == TWIN
+                 else d.mode == TWO_KNOT and knot_arcs == 1 and not twin_arcs)
+            and len(passages) == 2 * len(crossings)
+            and len(set(passages)) == len(passages)
+            and crossings.keys() >= set(map(_crossing, passages))
+            and _ROLES >= set(map(_role, passages))
+            and _SIGNS >= set(crossings.values())):
+        return _VALID
+
     violations: list[Violation] = []
 
     twin_arcs = [c for c in d.components if c.kind == TWIN_ARC]

@@ -9,6 +9,7 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Iterable, Mapping
 
 
@@ -37,10 +38,19 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
+            # exact integers only: int() would truncate 2.7 and read '3'
+            try:
+                exp, coeff = index(exp), index(coeff)
+            except TypeError:
+                raise LaurentError(
+                    f"term {exp!r}: {coeff!r} is not an integer exponent "
+                    f"and coefficient") from None
             if coeff:
-                acc[int(exp)] = acc.get(int(exp), 0) + int(coeff)
-                if acc[int(exp)] == 0:
-                    del acc[int(exp)]
+                total = acc.get(exp, 0) + coeff
+                if total:
+                    acc[exp] = total
+                else:
+                    del acc[exp]
         self._terms = acc
 
     # -- constructors ------------------------------------------------

@@ -184,6 +184,14 @@ class TestSerialize:
         text = "twin { arc A: ; arc B: ; loop T: (0, 0/1) ; }"
         assert serialize(parse(text)) == text
 
+    def test_sign_other_than_one_is_refused(self):
+        # the sign-0 crossing of a non-strict parse used to be written as -,
+        # which reads back as a valid diagram nobody wrote
+        d = parse("twin { arc A: O7+ U7- ; arc B: ; }", strict=False)
+        with pytest.raises(DiagramError,
+                           match=r"^crossing 7 has sign 0; a sign is \+1 or -1$"):
+            serialize(d)
+
 
 class TestRecords:
     @pytest.mark.parametrize("record, field", [

@@ -56,6 +56,14 @@ class TestBasics:
     def test_no_zero_coefficients_stored(self):
         assert P({5: 0, 1: 2}).pairs() == ((1, 2),)
 
+    @pytest.mark.parametrize("terms", [{0.5: 1}, {1: 2.7}, {"2": "3"}],
+                             ids=["float-exponent", "float-coefficient",
+                                  "strings"])
+    def test_non_integer_terms_are_refused(self, terms):
+        # int() would read these as 1, 2t and 3t^2
+        with pytest.raises(LaurentError, match="not an integer"):
+            P(terms)
+
     def test_equal_polynomials_hash_equal(self):
         # built in different term orders
         p, q = P({2: 1, 0: -1}), ONE - P({0: 2}) + P({2: 1})
