@@ -114,7 +114,7 @@ def parse_row(label: str, text: str) -> str:
 
 
 def corrupt(rng: random.Random, d: Diagram) -> Diagram:
-    """The diagram after one of ten faults validate must name."""
+    """The diagram after one of ten faults that validate must name."""
     comps = list(d.components)
     signs = dict(d.crossings)
     ci = rng.randrange(len(comps))
@@ -125,12 +125,13 @@ def corrupt(rng: random.Random, d: Diagram) -> Diagram:
         comps[ci] = c._replace(passages=c.passages[:i] + c.passages[i + 1:])
     elif fault == 1 and c.passages:  # a passage is met twice
         comps[ci] = c._replace(passages=c.passages + (rng.choice(c.passages),))
-    elif fault == 2 and c.passages:  # a passage changes role
+    elif fault == 2 and c.passages:  # a passage changes role, maybe to none
         i = rng.randrange(len(c.passages))
         p = c.passages[i]
-        flipped = Passage(p.crossing, UNDER if p.role == OVER else OVER)
-        comps[ci] = c._replace(
-            passages=c.passages[:i] + (flipped,) + c.passages[i + 1:])
+        role = rng.choice((UNDER if p.role == OVER else OVER, "X"))
+        comps[ci] = c._replace(passages=c.passages[:i]
+                               + (Passage(p.crossing, role),)
+                               + c.passages[i + 1:])
     elif fault == 3 and signs:  # a sign is not +1 or -1
         signs[rng.choice(sorted(signs))] = rng.choice((0, 2, -3))
     elif fault == 4 and signs:  # a crossing leaves the map
