@@ -174,6 +174,7 @@ _PUNCT = frozenset("{}();:,/+-")
 #: A refused character: neither space, nor a word's, nor a punctuation
 #: mark, nor the ``#`` that starts a comment.  It may sit in a comment.
 _STRAY = re.compile(r"[^\s\w{}();:,/+#-]")
+#: A passage word: its role, then its crossing id in ASCII digits.
 _PASSAGE = re.compile(r"[OU][0-9]+")
 
 
@@ -284,7 +285,7 @@ def parse(text: str, strict: bool = True) -> Diagram:
     d = Diagram(mode, tuple(components), signs)
     if strict:
         report = validate(d)
-        if report.violations:
+        if not report.ok:
             raise DiagramError("; ".join(
                 f"{v.code}: {v.message}" for v in report.violations))
     return d
@@ -413,22 +414,22 @@ def validate(d: Diagram) -> ValidationReport:
     # passage.  With n crossings in the map, 2n distinct passages through
     # them, each over or under, meet each crossing exactly once over and
     # once under.  Only a diagram that fails this is checked rule by rule.
-    twin_arcs = knot_arcs = 0
+    n_twin = n_knot = 0
     surgery_on_arc = False
     passages: list[Passage] = []
     for c in d.components:
         kind = c.kind
         if kind == TWIN_ARC:
-            twin_arcs += 1
+            n_twin += 1
         elif kind == KNOT_ARC:
-            knot_arcs += 1
+            n_knot += 1
         if kind != LOOP and c.surgery is not None:
             surgery_on_arc = True
         passages += c.passages
     crossings = d.crossings
     if (not surgery_on_arc
-            and (twin_arcs == 2 and not knot_arcs if d.mode == TWIN
-                 else d.mode == TWO_KNOT and knot_arcs == 1 and not twin_arcs)
+            and (n_twin == 2 and not n_knot if d.mode == TWIN
+                 else d.mode == TWO_KNOT and n_knot == 1 and not n_twin)
             and len(passages) == 2 * len(crossings)
             and len(set(passages)) == len(passages)
             and crossings.keys() >= set(map(_crossing, passages))
