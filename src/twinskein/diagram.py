@@ -127,7 +127,10 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
         order; crossings without passages are absent.  Built on first use
         and shared by every later call on this diagram: read it, never
         mutate it.  It depends only on ``components``, which never change,
-        so it cannot go stale."""
+        so it cannot go stale.  ``skein.switch_crossing`` hands the
+        parent's index to the switched diagram, whose passages sit where
+        the parent's do, so one index may serve several diagrams: all the
+        more reason to keep it read-only."""
         index = self.__dict__.get("_slot_index")
         if index is None:
             index = self.__dict__["_slot_index"] = _build_slot_index(self)

@@ -149,11 +149,13 @@ class SkeinResult(NamedTuple):
 
 def switch_crossing(d: Diagram, crossing: int) -> Diagram:
     """Swap the over/under roles of the crossing's passages and flip its sign.
-    Components that do not meet the crossing are kept as they are."""
+    Components that do not meet the crossing are kept as they are, and the
+    switched diagram shares the parent's slot index."""
     if crossing not in d.crossings:
         raise DiagramError(f"unknown crossing id {crossing}")
     comps = list(d.components)
-    for ci, pi in d.slot_index().get(crossing, ()):
+    index = d.slot_index()
+    for ci, pi in index.get(crossing, ()):
         c = comps[ci]
         ps = c.passages
         comps[ci] = Component(c.kind, c.label,
@@ -161,7 +163,10 @@ def switch_crossing(d: Diagram, crossing: int) -> Diagram:
                               c.surgery)
     signs = dict(d.crossings)
     signs[crossing] = -signs[crossing]
-    return Diagram(d.mode, tuple(comps), signs)
+    switched = Diagram(d.mode, tuple(comps), signs)
+    # no passage moves, so the parent's index is the child's
+    switched.__dict__["_slot_index"] = index
+    return switched
 
 
 def _fresh_loop_label(d: Diagram) -> str:
@@ -303,7 +308,11 @@ class _Engine:
         """(value, unresolved reason, trace node); the node is None unless
         ``emit_trace`` is on.  The canonical key is computed at every node of
         a trace, at every memo store, and at a memo lookup only when a stored
-        diagram shares the node's fingerprint."""
+        diagram shares the node's fingerprint.  The fingerprint is computed
+        at most once per node: at a lookup only once the memo holds an
+        entry, else at the store.  Without a trace, a run that stores
+        nothing, such as a chain that ends on the depth budget, computes no
+        fingerprint and no key."""
         fixed, _ = simplify(d)
         stats = self.stats
         stats.nodes_expanded += 1
@@ -324,7 +333,9 @@ class _Engine:
                                            terminal=terminal, value=value)
 
         cf = canonicalize(fixed) if cfg.emit_trace else None
-        if cfg.use_memo:
+        fp = None
+        # an empty memo (always so when it is off) cannot hit
+        if self.memo:
             fp = canonical_fingerprint(fixed)
             if cf is None and fp in self.stored_prints:
                 cf = canonicalize(fixed)
@@ -358,7 +369,8 @@ class _Engine:
         if cfg.use_memo:
             if cf is None:
                 cf = canonicalize(fixed)
-            self.stored_prints.add(fp)
+            self.stored_prints.add(
+                canonical_fingerprint(fixed) if fp is None else fp)
             self.memo.setdefault(cf.key, value if cf.sign > 0 else -value)
         return value, None, self._node(cf, crossing=cid, crossing_sign=s,
                                        value=value, children=children)

@@ -346,18 +346,39 @@ class TestPassageIndex:
         import twinskein.diagram as diagram
         build = diagram._build_slot_index
         builds: dict[int, int] = {}
-        alive = []  # keeps every indexed diagram alive, so ids stay unique
+        built = []  # keeps every diagram alive, so ids stay unique
+        new = Diagram.__new__
+
+        def recording_new(cls, *args, **kwargs):
+            d = new(cls, *args, **kwargs)
+            built.append(d)
+            return d
 
         def counting_build(d):
             builds[id(d)] = builds.get(id(d), 0) + 1
-            alive.append(d)
             return build(d)
 
+        monkeypatch.setattr(Diagram, "__new__", recording_new)
         monkeypatch.setattr(diagram, "_build_slot_index", counting_build)
         self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
                            + _random_diagrams(rng, 300))
-        assert len(builds) > 1000
+        monkeypatch.undo()
+        # indexed by a build or, after a switch, by the parent's index
+        assert sum("_slot_index" in vars(d) for d in built) > 1000
         assert max(builds.values()) == 1
+
+    def test_a_switch_hands_its_index_to_the_child(self, rng):
+        switched = 0
+        for d in _fixture_diagrams() + _random_diagrams(rng, 300):
+            absent = max(d.crossings, default=0) + 1
+            for c in d.crossings:
+                child = switch_crossing(d, c)
+                assert child.slot_index() is d.slot_index()
+                for cid in [*child.crossings, absent]:
+                    assert child.slot_index().get(cid, ()) \
+                        == _scanned_slots(child, cid)
+                switched += 1
+        assert switched > 500
 
 
 class _UngatedEngine(_Engine):
@@ -576,6 +597,53 @@ class TestGatedMemo:
         assert r.unresolved_reason == "depth-budget-exceeded"
         assert r.stats.nodes_expanded == 9
         assert keyed == []
+
+
+class TestFingerprintOnlyOnceStored:
+    @staticmethod
+    def _counting(monkeypatch) -> list[Diagram]:
+        import twinskein.skein as skein
+        from twinskein.moves import canonical_fingerprint
+        printed = []
+
+        def counting(d):
+            printed.append(d)
+            return canonical_fingerprint(d)
+
+        monkeypatch.setattr(skein, "canonical_fingerprint", counting)
+        return printed
+
+    def test_none_where_nothing_is_stored(self, rng, monkeypatch):
+        printed = self._counting(monkeypatch)
+        r = evaluate(parse(ONE_CROSSING_TWIN))
+        assert r.unresolved_reason == "depth-budget-exceeded"
+        assert r.stats.nodes_expanded == 65
+        assert printed == []
+        for d in _fixture_diagrams() + _random_diagrams(rng, 300):
+            try:
+                evaluate(d, SkeinConfig(depth_budget=24, use_memo=False))
+            except DiagramError:
+                pass
+        assert printed == []
+
+    def test_at_most_one_a_node(self, rng, monkeypatch):
+        printed = self._counting(monkeypatch)
+        stored = 0
+        for d in _random_diagrams(rng, 300) + _spun_table():
+            engine = _Engine(SkeinConfig())
+            before = len(printed)
+            try:
+                engine.run(d, 0)
+            except DiagramError:
+                continue
+            # each memo entry was stored with a fingerprint
+            assert len(engine.memo) <= len(printed) - before \
+                <= engine.stats.nodes_expanded
+            stored += len(engine.memo)
+        assert stored > 500
+        # every node simplifies to a diagram of its own, and ``printed``
+        # keeps them all alive, so a repeat id is a node printed twice
+        assert len({id(d) for d in printed}) == len(printed)
 
 
 class TestProperties:
