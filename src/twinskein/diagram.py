@@ -100,7 +100,15 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
     """A welded Gauss-code presentation of a twin or a ribbon 2-knot.
 
     Unlike the other records it is unhashable (``crossings`` is a dict) and
-    keeps a ``__dict__``, where ``slot_index`` caches its index."""
+    keeps a ``__dict__``.  The ``__dict__`` holds only layout facts, each
+    computed on first use and read-only after.  A layout fact depends on
+    the components' kinds and labels and on which crossing sits at which
+    position, never on a passage's role or a crossing's sign.  There are
+    three: ``slot_index`` (``_slot_index``), the walk that
+    ``skein.choose_crossing`` reads (``_choice_walk``) and the verdict of
+    ``moves.is_split_simplified`` (``_split``).  A switch moves no passage,
+    so ``skein.switch_crossing`` hands every cached fact to the switched
+    diagram; every other operation builds a diagram with none."""
 
     mode: str
     components: tuple[Component, ...]
@@ -124,13 +132,11 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
 
     def slot_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Crossing id -> its (component index, position) slots in scan
-        order; crossings without passages are absent.  Built on first use
-        and shared by every later call on this diagram: read it, never
-        mutate it.  It depends only on ``components``, which never change,
-        so it cannot go stale.  ``skein.switch_crossing`` hands the
-        parent's index to the switched diagram, whose passages sit where
-        the parent's do, so one index may serve several diagrams: all the
-        more reason to keep it read-only."""
+        order; crossings without passages are absent.  A layout fact:
+        built on first use and shared by every later call on this diagram
+        and, through ``skein.switch_crossing``, by the diagrams switched
+        from it.  One index may serve several diagrams, so read it, never
+        mutate it."""
         index = self.__dict__.get("_slot_index")
         if index is None:
             index = self.__dict__["_slot_index"] = _build_slot_index(self)

@@ -493,7 +493,17 @@ def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
 def is_split_simplified(fixed: Diagram) -> bool:
     """True iff some component of an already simplified diagram cannot be
     reached from the arcs through shared crossings: a loop or loop cluster
-    is detached from the arcs."""
+    is detached from the arcs.  The verdict is a layout fact (see
+    ``Diagram``): computed on first use, cached as ``_split`` and inherited
+    by a switched diagram."""
+    verdict = fixed.__dict__.get("_split")
+    if verdict is None:
+        verdict = fixed.__dict__["_split"] = _detached(fixed)
+    return verdict
+
+
+def _detached(fixed: Diagram) -> bool:
+    """Whether some component cannot be reached from the arcs."""
     comps = fixed.components
     reached = {ci for ci, c in enumerate(comps) if c.kind != LOOP}
     if len(reached) == len(comps):

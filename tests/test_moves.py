@@ -47,7 +47,7 @@ from twinskein.moves import (
     is_unit_simplified,
     simplify,
 )
-from twinskein.skein import evaluate
+from twinskein.skein import evaluate, switch_crossing
 
 STD = "twin { arc A: ; arc B: ; }"
 
@@ -671,6 +671,30 @@ class TestSplitAgainstReference:
                 assert split == reference_is_split(e), serialize(e)
                 answers.add((bool(e.loops()), split))
         assert answers == {(False, False), (True, False), (True, True)}
+
+    def test_a_switch_hands_on_the_verdict_of_its_parent(self, rng,
+                                                         monkeypatch):
+        diagrams = _fixtures() + [_random_with_empty_loops(rng, i)
+                                  for i in range(600)]
+        scans = []
+        detached = moves._detached
+
+        def counting(d):
+            scans.append(d)
+            return detached(d)
+
+        monkeypatch.setattr(moves, "_detached", counting)
+        answers = set()
+        for d in diagrams:
+            split = is_split_simplified(d)
+            assert is_split_simplified(d) is vars(d)["_split"] is split
+            for c in d.crossings:
+                child = switch_crossing(d, c)
+                assert is_split_simplified(child) is split
+                assert split == reference_is_split(child), serialize(child)
+            answers.add(split)
+        assert scans == diagrams
+        assert answers == {False, True}
 
 
 class TestAuditTrail:

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from twinskein.diagram import (
     TWIN,
     TWIN_ARC,
     TWO_KNOT,
+    _build_slot_index,
     parse,
     random_diagram,
     reverse_component,
@@ -18,6 +20,7 @@ from twinskein.diagram import (
 )
 from twinskein.laurent import LaurentPoly, SKEIN_MULTIPLIER
 from twinskein.moves import (
+    _detached,
     apply_r1,
     apply_r2,
     apply_r3,
@@ -44,6 +47,7 @@ from twinskein.skein import (
     UnsupportedLoopSmoothing,
     UnsupportedRibbonIntersection,
     _Engine,
+    _choice_walk,
     choose_crossing,
     eligible_crossings,
     evaluate,
@@ -298,18 +302,17 @@ def _scanned_slots(d: Diagram, crossing: int) -> tuple[tuple[int, int], ...]:
                  for pi, p in enumerate(comp.passages) if p.crossing == crossing)
 
 
+def _evaluate_all(diagrams):
+    for d in diagrams:
+        for cfg in (SkeinConfig(depth_budget=16),
+                    SkeinConfig(depth_budget=16, emit_trace=True)):
+            try:
+                evaluate(d, cfg)
+            except DiagramError:
+                pass
+
+
 class TestPassageIndex:
-    CONFIGS = (SkeinConfig(depth_budget=16),
-               SkeinConfig(depth_budget=16, emit_trace=True))
-
-    def _evaluate_all(self, diagrams):
-        for d in diagrams:
-            for cfg in self.CONFIGS:
-                try:
-                    evaluate(d, cfg)
-                except DiagramError:
-                    pass
-
     def test_slots_match_a_scan_on_every_diagram_built(self, rng,
                                                        monkeypatch):
         built = []
@@ -321,8 +324,8 @@ class TestPassageIndex:
             return d
 
         monkeypatch.setattr(Diagram, "__new__", recording_new)
-        self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
-                           + _random_diagrams(rng, 300))
+        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                      + _random_diagrams(rng, 300))
         monkeypatch.undo()
         assert len(built) > 1000
         for d in built:
@@ -360,8 +363,8 @@ class TestPassageIndex:
 
         monkeypatch.setattr(Diagram, "__new__", recording_new)
         monkeypatch.setattr(diagram, "_build_slot_index", counting_build)
-        self._evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
-                           + _random_diagrams(rng, 300))
+        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                      + _random_diagrams(rng, 300))
         monkeypatch.undo()
         # indexed by a build or, after a switch, by the parent's index
         assert sum("_slot_index" in vars(d) for d in built) > 1000
@@ -379,6 +382,104 @@ class TestPassageIndex:
                         == _scanned_slots(child, cid)
                 switched += 1
         assert switched > 500
+
+
+#: How each layout fact a diagram may cache is computed from scratch.
+_LAYOUT_FACTS = {
+    "_slot_index": _build_slot_index,
+    "_choice_walk": _choice_walk,
+    "_split": _detached,
+}
+
+
+def _cache_every_fact(d: Diagram) -> None:
+    d.slot_index()
+    try:
+        choose_crossing(d)
+    except NoEligibleCrossing:
+        pass
+    is_split_simplified(d)
+
+
+def _assert_facts_are_its_own(d: Diagram) -> None:
+    """Every entry of the diagram's ``__dict__`` is a layout fact, equal to
+    the same fact computed on an uncached copy."""
+    facts = vars(d)
+    assert facts.keys() <= _LAYOUT_FACTS.keys()
+    for name, fact in facts.items():
+        assert fact == _LAYOUT_FACTS[name](Diagram(*d)), name
+
+
+class TestLayoutFacts:
+    def test_a_switch_hands_on_every_fact_and_each_is_the_childs_own(
+            self, rng):
+        switched = 0
+        for d in _fixture_diagrams() + _random_diagrams(rng, 300):
+            _cache_every_fact(d)
+            assert vars(d).keys() == _LAYOUT_FACTS.keys()
+            for c in d.crossings:
+                child = switch_crossing(d, c)
+                assert vars(child).keys() == _LAYOUT_FACTS.keys()
+                _assert_facts_are_its_own(child)
+                switched += 1
+        assert switched > 500
+
+    def test_every_diagram_the_engine_builds_holds_its_own_facts(
+            self, rng, monkeypatch):
+        built = []
+        new = Diagram.__new__
+
+        def recording_new(cls, *args, **kwargs):
+            d = new(cls, *args, **kwargs)
+            built.append(d)
+            return d
+
+        monkeypatch.setattr(Diagram, "__new__", recording_new)
+        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                      + _random_diagrams(rng, 300))
+        monkeypatch.undo()
+        for d in built:
+            _assert_facts_are_its_own(d)
+        assert sum("_choice_walk" in vars(d) for d in built) > 1000
+        assert sum("_split" in vars(d) for d in built) > 1000
+
+    def test_each_layout_computes_its_walk_and_split_verdict_at_most_once(
+            self, rng, monkeypatch):
+        """A layout here is a diagram and those switched from it, which
+        share one slot index.  Unrelated diagrams of one layout, such as
+        the bare arcs reached down two branches, compute their facts
+        apart."""
+        import twinskein.moves as moves
+        import twinskein.skein as skein
+        asked: Counter = Counter()
+        computed: Counter = Counter()
+        indexes = []  # keeps every index alive, so ids stay unique
+
+        def counting(counter, name, fn):
+            def wrapper(d):
+                index = d.slot_index()
+                indexes.append(index)
+                counter[name, id(index)] += 1
+                return fn(d)
+            return wrapper
+
+        monkeypatch.setattr(skein, "choose_crossing", counting(
+            asked, "walk", choose_crossing))
+        monkeypatch.setattr(skein, "is_split_simplified", counting(
+            asked, "split", is_split_simplified))
+        monkeypatch.setattr(skein, "_choice_walk", counting(
+            computed, "walk", _choice_walk))
+        monkeypatch.setattr(moves, "_detached", counting(
+            computed, "split", _detached))
+        for d in _spun_table() + _random_diagrams(rng, 300):
+            evaluate(d)
+        monkeypatch.undo()
+        assert max(computed.values()) == 1
+        # switched children inherit, so most asks compute nothing
+        for name in ("walk", "split"):
+            n_asked = sum(n for (fact, _), n in asked.items() if fact == name)
+            n_computed = sum(1 for fact, _ in computed if fact == name)
+            assert n_asked > 3 * n_computed > 1000
 
 
 class _UngatedEngine(_Engine):
@@ -559,6 +660,36 @@ class TestOneWalkChoice:
                     first_role.setdefault(p.crossing, p.role)
             outcomes.add(first_role[pick])
         assert len(engine) > 1000
+        # a pick met first under, the fallback and a refusal all occur
+        assert outcomes == {"U", "O", "raised"}
+
+    def test_picks_what_the_previous_choice_picked_on_switched_children(
+            self, rng, monkeypatch):
+        """Each child of a switch inherits its parent's walk.  Only valid
+        diagrams are pinned: on an invalid one the walk, which classifies
+        every crossing on the arcs, may refuse where the previous choice
+        returned before it met the crossing missing from the map."""
+        engine = self._engine_inputs(monkeypatch)
+        outcomes = set()
+        switched = 0
+        for d in _fixture_diagrams() + engine + self._random_inputs(rng):
+            _choice(choose_crossing, d)
+            for c in d.crossings:
+                child = switch_crossing(d, c)
+                assert vars(child)["_choice_walk"] is vars(d)["_choice_walk"]
+                pick = _choice(choose_crossing, child)
+                assert pick == _choice(_reference_choose_crossing, child), \
+                    serialize(child)
+                switched += 1
+                if isinstance(pick, tuple):
+                    outcomes.add("raised")
+                    continue
+                first_role: dict[int, str] = {}
+                for comp in walk_order(child):
+                    for p in comp.passages:
+                        first_role.setdefault(p.crossing, p.role)
+                outcomes.add(first_role[pick])
+        assert switched > 10000
         # a pick met first under, the fallback and a refusal all occur
         assert outcomes == {"U", "O", "raised"}
 
