@@ -17,9 +17,10 @@ Text format (whitespace-insensitive, ``#`` starts a comment):
     surgery   := "(" INT "," INT "/" INT ")"
 
 LABEL is read as ``\\w+``: a run of letters, digits and underscores of any
-script, such as ``A٣``.  INT is a run of ASCII digits 0-9 only.  A parse
-error names the line and column of the token it refuses, or of the last
-token when the input ends too soon.
+script, such as ``A٣``.  INT is a run of ASCII digits 0-9 only, no longer
+than the interpreter's limit on int-string conversion (4,300 digits by
+default).  A parse error names the line and column of the token it
+refuses, or of the last token when the input ends too soon.
 """
 
 from __future__ import annotations
@@ -100,11 +101,12 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
     """A welded Gauss-code presentation of a twin or a ribbon 2-knot.
 
     Unlike the other records it is unhashable (``crossings`` is a dict) and
-    keeps a ``__dict__``.  The ``__dict__`` holds only layout facts, each
-    computed on first use and read-only after.  A layout fact depends on
-    the components' kinds and labels and on which crossing sits at which
-    position, never on a passage's role or a crossing's sign.  There are
-    three: ``slot_index`` (``_slot_index``), the walk that
+    keeps a ``__dict__``, which holds only layout facts.  A layout fact
+    depends on the components' kinds and labels and on which crossing sits
+    at which position, never on a passage's role or a crossing's sign.
+    Each is computed on first use and cached; one value may serve several
+    diagrams, so it is read, never mutated.  There are three:
+    ``slot_index`` (``_slot_index``), the walk that
     ``skein.choose_crossing`` reads (``_choice_walk``) and the verdict of
     ``moves.is_split_simplified`` (``_split``).  A switch moves no passage,
     so ``skein.switch_crossing`` hands every cached fact to the switched
@@ -132,11 +134,8 @@ class Diagram(namedtuple("Diagram", "mode components crossings")):
 
     def slot_index(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Crossing id -> its (component index, position) slots in scan
-        order; crossings without passages are absent.  A layout fact:
-        built on first use and shared by every later call on this diagram
-        and, through ``skein.switch_crossing``, by the diagrams switched
-        from it.  One index may serve several diagrams, so read it, never
-        mutate it."""
+        order; crossings without passages are absent.  A layout fact (see
+        ``Diagram``)."""
         index = self.__dict__.get("_slot_index")
         if index is None:
             index = self.__dict__["_slot_index"] = _build_slot_index(self)
@@ -273,7 +272,7 @@ def parse(text: str, strict: bool = True) -> Diagram:
             else:
                 raise _refusal(text, tokens, i + 1,
                                f"passage {word!r} lacks a sign token")
-            cid = int(word[1:])
+            cid = _int_of(text, tokens, i, word[1:])
             if signs.setdefault(cid, sign) != sign:
                 if strict:
                     raise DiagramError(
@@ -310,7 +309,19 @@ def _int_at(text: str, tokens: list[str], i: int) -> tuple[int, int]:
     tok = tokens[i]
     if not (tok.isdecimal() and tok.isascii()):
         raise _refusal(text, tokens, i, f"expected integer, found {tok!r}")
-    return (-int(tok) if neg else int(tok)), i + 1
+    value = _int_of(text, tokens, i, tok)
+    return (-value if neg else value), i + 1
+
+
+def _int_of(text: str, tokens: list[str], i: int, digits: str) -> int:
+    """The ASCII digits of token i as an int.  A number longer than the
+    interpreter's limit on int-string conversion is refused at the token."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise _refusal(text, tokens, i,
+                       f"integer too long in {tokens[i][:12]!r}... "
+                       f"({len(digits)} digits)") from None
 
 
 def _wanted(text: str, tokens: list[str], i: int, want: str) -> ParseError:
@@ -346,16 +357,8 @@ _label = attrgetter("label")
 def walk_order(d: Diagram) -> list[Component]:
     """The components in reading order: the arcs, then the loops, each by
     label."""
-    arcs: list[Component] = []
-    loops: list[Component] = []
-    for c in d.components:
-        if c.kind == LOOP:
-            loops.append(c)
-        elif c.kind in _ARC_KINDS:
-            arcs.append(c)
-    arcs.sort(key=_label)
-    loops.sort(key=_label)
-    return arcs + loops
+    return (sorted((c for c in d.components if c.is_arc), key=_label)
+            + sorted((c for c in d.components if c.is_loop), key=_label))
 
 
 def surgery_text(surgery: tuple[int, int, int]) -> str:

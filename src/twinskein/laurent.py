@@ -208,13 +208,18 @@ class LaurentPoly:
                 raise LaurentError(
                     f"unexpected variable {m.group('var')!r} (wanted {var!r})"
                 )
-            coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            if m.group("var") is None:
-                exp = 0
-            elif m.group("exp") is None:
-                exp = 1
-            else:
-                exp = int(m.group("exp"))
+            try:
+                coeff = int(m.group("coeff")) if m.group("coeff") else 1
+                if m.group("var") is None:
+                    exp = 0
+                elif m.group("exp") is None:
+                    exp = 1
+                else:
+                    exp = int(m.group("exp"))
+            except ValueError:
+                # past the interpreter's limit on int-string conversion
+                raise LaurentError(f"number too long in term "
+                                   f"{raw.strip()[:12]!r}...") from None
             terms[exp] = terms.get(exp, 0) + sign * coeff
         return cls(terms)
 

@@ -494,8 +494,7 @@ def is_split_simplified(fixed: Diagram) -> bool:
     """True iff some component of an already simplified diagram cannot be
     reached from the arcs through shared crossings: a loop or loop cluster
     is detached from the arcs.  The verdict is a layout fact (see
-    ``Diagram``): computed on first use, cached as ``_split`` and inherited
-    by a switched diagram."""
+    ``Diagram``), cached as ``_split``."""
     verdict = fixed.__dict__.get("_split")
     if verdict is None:
         verdict = fixed.__dict__["_split"] = _detached(fixed)

@@ -149,9 +149,8 @@ class SkeinResult(NamedTuple):
 def switch_crossing(d: Diagram, crossing: int) -> Diagram:
     """Swap the over/under roles of the crossing's passages and flip its sign.
     Components that do not meet the crossing are kept as they are.  No
-    passage moves, so the switched diagram has the parent's layout: it
-    inherits every layout fact the parent has cached (see ``Diagram``),
-    and shares each with the parent."""
+    passage moves, so the switched diagram shares every layout fact the
+    parent has cached (see ``Diagram``)."""
     if crossing not in d.crossings:
         raise DiagramError(f"unknown crossing id {crossing}")
     comps = list(d.components)
@@ -197,9 +196,7 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
     slots = d.slot_index()[crossing]
 
     if kind == ARC_SELF:
-        (ci, i), (_, j) = slots
-        if i > j:
-            i, j = j, i
+        (ci, i), (_, j) = slots  # in scan order, so i < j
         arc = d.components[ci]
         between = arc.passages[i + 1:j]
         remainder = arc.passages[:i] + arc.passages[j + 1:]
@@ -246,29 +243,17 @@ def eligible_crossings(d: Diagram) -> list[int]:
 
 def _choice_walk(d: Diagram) -> tuple[tuple[int, int, int], ...]:
     """(component index, position, crossing) of each eligible crossing
-    where the walk over the arcs first meets it, in walk order.  It runs
-    on every fresh layout, so it classifies each crossing from its slots
-    inline, as ``classify_crossing`` would, for a fifth less time."""
+    where the walk over the arcs by label first meets it, in walk order."""
     comps = d.components
-    signs = d.crossings
-    index = d.slot_index()
-    is_arc = [c.is_arc for c in comps]
-    arcs = sorted((c.label, ci) for ci, c in enumerate(comps) if is_arc[ci])
     walk = []
-    for _, ci in arcs:
+    met = set()
+    for _, ci in sorted((c.label, ci) for ci, c in enumerate(comps)
+                        if c.is_arc):
         for pi, (cid, _) in enumerate(comps[ci].passages):
-            slots = index[cid]
-            if cid not in signs or len(slots) != 2:
-                raise DiagramError(f"unknown crossing id {cid}")
-            (oc, op), other = slots
-            if oc == ci and op == pi:
-                oc, op = other
-            # eligible: arc-self, met first here, or arc-loop
-            if oc == ci:
-                if pi < op:
+            if cid not in met:
+                met.add(cid)
+                if _eligible(d, cid):
                     walk.append((ci, pi, cid))
-            elif not is_arc[oc]:
-                walk.append((ci, pi, cid))
     return tuple(walk)
 
 
@@ -279,12 +264,11 @@ def choose_crossing(d: Diagram) -> int:
     crossing met.  Every eligible crossing meets an arc, and the arcs come
     first in walk order, so the walk covers the arcs only.
 
-    Where the walk meets which eligible crossing first is a layout fact
-    (see ``Diagram``): it is found on first use and cached as
-    ``_choice_walk``, and a switched diagram inherits it, so a choice
-    mostly reads only the roles at those slots.  The walk classifies every
-    crossing on the arcs, so on an invalid diagram it may raise
-    ``DiagramError`` wherever one of them is missing from the map."""
+    The walk is a layout fact (see ``Diagram``), cached as
+    ``_choice_walk``, so a choice mostly reads only the roles at its
+    slots.  The walk classifies every crossing on the arcs, so on an
+    invalid diagram it may raise ``DiagramError`` wherever one of them is
+    missing from the map."""
     walk = d.__dict__.get("_choice_walk")
     if walk is None:
         walk = d.__dict__["_choice_walk"] = _choice_walk(d)
@@ -345,20 +329,15 @@ class _Engine:
         stats.max_depth = max(stats.max_depth, depth)
         cfg = self.cfg
 
+        cf = canonicalize(fixed) if cfg.emit_trace else None
         if is_split_simplified(fixed):
-            value, terminal = LaurentPoly.zero(), SPLIT
-        elif is_unit_simplified(fixed):
+            value = LaurentPoly.zero()
+            return value, None, self._node(cf, terminal=SPLIT, value=value)
+        if is_unit_simplified(fixed):
             value = LaurentPoly.one()
             terminal = STANDARD if fixed.mode == TWIN else UNKNOTTED
-        else:
-            terminal = None
-        if terminal is not None:
-            if not cfg.emit_trace:
-                return value, None, None
-            return value, None, self._node(canonicalize(fixed),
-                                           terminal=terminal, value=value)
+            return value, None, self._node(cf, terminal=terminal, value=value)
 
-        cf = canonicalize(fixed) if cfg.emit_trace else None
         fp = None
         # an empty memo (always so when it is off) cannot hit
         if self.memo:

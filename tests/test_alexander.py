@@ -105,6 +105,10 @@ class TestConwayInvariance:
                 k.passages[cut:] + k.passages[:cut], dict(k.crossings))
             assert conway(rotated) == base
 
+    def test_an_empty_link_code_has_no_arc_to_open(self):
+        with pytest.raises(DiagramError, match="empty link code"):
+            link_to_diagram(LinkCode((), {}))
+
 
 class TestAlexander:
     def test_unknot(self):

@@ -70,6 +70,17 @@ class TestValidate:
         assert err.startswith("parse error: ")
         assert "(line 1, column" in err
 
+    @pytest.mark.parametrize("command", ["validate", "invariant"])
+    def test_crossing_id_past_the_conversion_limit_is_a_parse_error(
+            self, capsys, monkeypatch, long_number, command):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f"twin {{ arc A: O{long_number}+ U{long_number}+ ; arc B: ; }}"))
+        code, out, err = run(capsys, command, "-")
+        assert code == 2
+        assert out == ""
+        assert err == ("parse error: integer too long in 'O99999999999'... "
+                       "(5000 digits) (line 1, column 15)\n")
+
     def test_conflicting_sign_tokens_are_a_violation(self, capsys, tmp_path):
         bad = tmp_path / "bad.twin"
         bad.write_text("twin { arc A: O1+ U1- ; arc B: ; }\n")
@@ -231,6 +242,14 @@ class TestInvariant:
         assert code == 2
         assert out == ""
         assert err.startswith("error: bad term")
+
+    def test_multiplier_past_the_conversion_limit_is_a_config_error(
+            self, capsys, long_number):
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--multiplier", f"t^{long_number}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: number too long in term 't^9999999999'...\n"
 
     def test_zero_multiplier_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",

@@ -161,6 +161,22 @@ class TestParse:
         assert (str(exc.value), exc.value.line, exc.value.col) == (
             f"{message} (line {line}, column {col})", line, col)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("template,token,col", [
+        ("twin { arc A: ON+ UN+ ; arc B: ; }", "ON", 15),
+        ("twin { arc A: ; arc B: ; loop T: (0, N/1) ; }", "N", 38),
+        ("twin { arc A: ; arc B: ; loop T: (-N, 0/1) ; }", "N", 36),
+    ], ids=["passage", "surgery", "surgery-negative"])
+    def test_integer_past_the_conversion_limit_is_a_parse_error(
+            self, long_number, template, token, col, strict):
+        # int() refuses it with a bare ValueError; the reader names the token
+        token = token.replace("N", long_number)
+        with pytest.raises(ParseError) as exc:
+            parse(template.replace("N", long_number), strict=strict)
+        assert (str(exc.value), exc.value.line, exc.value.col) == (
+            f"integer too long in {token[:12]!r}... (5000 digits) "
+            f"(line 1, column {col})", 1, col)
+
     def test_mode_arc_count_enforced(self):
         with pytest.raises(DiagramError, match="mode-arcs"):
             parse("twin { arc A: ; }")

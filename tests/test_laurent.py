@@ -55,6 +55,7 @@ class TestBasics:
 
     def test_no_zero_coefficients_stored(self):
         assert P({5: 0, 1: 2}).pairs() == ((1, 2),)
+        assert P([(1, 1), (1, -1)]).pairs() == ()
 
     @pytest.mark.parametrize("terms", [{0.5: 1}, {1: 2.7}, {"2": "3"}],
                              ids=["float-exponent", "float-coefficient",
@@ -108,6 +109,8 @@ class TestRendering:
             LaurentPoly.parse("t +")
         with pytest.raises(LaurentError):
             LaurentPoly.parse("q^2")
+        with pytest.raises(LaurentError, match="empty polynomial text"):
+            LaurentPoly.parse("   ")
 
     @pytest.mark.parametrize("text,terms", [
         ("2 t", {1: 2}),
@@ -125,6 +128,17 @@ class TestRendering:
     def test_parse_refuses_whitespace_between_digits(self, text):
         with pytest.raises(LaurentError, match="whitespace between digits"):
             LaurentPoly.parse(text)
+
+    @pytest.mark.parametrize("template,term", [
+        ("Nt", "Nt"), ("t^N", "t^N"), ("1 - t^-N", "- t^-N")],
+        ids=["coefficient", "exponent", "negative-exponent"])
+    def test_parse_refuses_a_number_past_the_conversion_limit(
+            self, long_number, template, term):
+        # int() refuses it with a bare ValueError
+        term = term.replace("N", long_number)
+        with pytest.raises(LaurentError) as exc:
+            LaurentPoly.parse(template.replace("N", long_number))
+        assert str(exc.value) == f"number too long in term {term[:12]!r}..."
 
     @pytest.mark.parametrize("text", ["\u0663t - t^-\u0661", "1 + \u0662t"])
     def test_parse_refuses_non_ascii_digits(self, text):

@@ -3,6 +3,8 @@ from collections import Counter
 
 import pytest
 
+from twinskein.alexander import alexander_at_t_squared, braid_closure_knot
+from twinskein.constructions import artin_spin
 from twinskein.diagram import (
     Diagram,
     DiagramError,
@@ -114,6 +116,17 @@ class TestSmooth:
         d = parse("twin { arc A: O1+ ; arc B: U1+ ; }")
         with pytest.raises(UnsupportedRibbonIntersection):
             smooth_crossing(d, 1)
+
+    def test_arc_loop_with_the_loop_listed_first(self):
+        # the slots of the crossing come loop first, in scan order
+        loop_first = parse("twin { loop T: O2+ U1+ U2+ ; arc A: O1+ ; "
+                           "arc B: ; }")
+        arc_first = parse("twin { arc A: O1+ ; arc B: ; "
+                          "loop T: O2+ U1+ U2+ ; }")
+        out = smooth_crossing(loop_first, 1)
+        assert out == smooth_crossing(arc_first, 1)
+        assert [(p.role, p.crossing) for p in out.component("A").passages] \
+            == [("U", 2), ("O", 2)]
 
     def test_loop_loop_unsupported(self):
         d = parse("twin { arc A: ; arc B: ; loop S: O1+ ; loop T: U1+ ; }")
@@ -777,6 +790,24 @@ class TestFingerprintOnlyOnceStored:
         assert len({id(d) for d in printed}) == len(printed)
 
 
+class TestMemoOnSpunTorusKnots:
+    """No bundled fixture gets a memo hit; on the spun torus knot T(2, n)
+    the memo is what keeps the tree linear."""
+
+    @pytest.mark.parametrize("n,nodes", [(9, 17), (13, 25), (21, 41)])
+    def test_2n_minus_1_nodes_with_the_memo(self, n, nodes):
+        k = braid_closure_knot([1] * n)
+        r = evaluate(artin_spin(k))
+        assert r.stats.nodes_expanded == nodes == 2 * n - 1
+        assert r.value == alexander_at_t_squared(k)
+
+    def test_753_nodes_without_it(self):
+        k = braid_closure_knot([1] * 13)
+        r = evaluate(artin_spin(k), SkeinConfig(use_memo=False))
+        assert r.stats.nodes_expanded == 753
+        assert r.value == alexander_at_t_squared(k)
+
+
 class TestProperties:
     def test_skein_identity(self, rng):
         # at a positive crossing: whole - switched = m * smoothed; at a
@@ -924,6 +955,11 @@ class TestTraceExport:
         assert export_trace(r, "dot").count("switch") == MAX_DEPTH_BUDGET
         with pytest.raises(ValueError):
             SkeinConfig(depth_budget=MAX_DEPTH_BUDGET + 1)
+
+    def test_unknown_format_raises(self):
+        r = evaluate(parse(SPUN_TREFOIL), SkeinConfig(emit_trace=True))
+        with pytest.raises(ValueError, match="unknown trace format 'svg'"):
+            export_trace(r, "svg")
 
     def test_trace_absent_raises(self):
         r = evaluate(parse(SPUN_TREFOIL))
