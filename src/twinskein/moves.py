@@ -76,21 +76,6 @@ def _pairs(n: int, loop: bool) -> tuple[tuple[int, int], ...]:
     return tuple((i, i + 1) for i in range(n - 1))
 
 
-def _pair_at(comp: Component, i: int) -> tuple[int, int]:
-    """The adjacent pair of positions starting at ``i`` (wrapping on loops)."""
-    n = len(comp.passages)
-    if not 0 <= i < (n if comp.is_loop and n > 1 else n - 1):
-        raise MoveError(f"no adjacent pair at {comp.label}[{i}]")
-    return i, (i + 1) % n
-
-
-def _site(d: Diagram, at: tuple[str, int]) -> tuple[int, int, int]:
-    """(component index, a, b) of the adjacent pair named by ``at``."""
-    label, i = at
-    ci = d.component_index(label)
-    return (ci, *_pair_at(d.components[ci], i))
-
-
 def _other_slot(d: Diagram, crossing: int, not_slot: tuple[int, int]) -> tuple[int, int]:
     for s in d.slot_index().get(crossing, ()):
         if s != not_slot:
@@ -118,23 +103,26 @@ def _drop_crossings(d: Diagram, cids: set[int]) -> Diagram:
     return Diagram(d.mode, comps, signs)
 
 
-def _swap(d: Diagram, ci: int, i: int, j: int) -> Diagram:
-    comp = d.components[ci]
-    ps = list(comp.passages)
-    ps[i], ps[j] = ps[j], ps[i]
-    new = Component(comp.kind, comp.label, tuple(ps), comp.surgery)
-    return Diagram(d.mode, d.components[:ci] + (new,) + d.components[ci + 1:],
-                   dict(d.crossings))
+def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
+    """The diagram with positions i and j of component ci exchanged, for
+    each (ci, i, j) in ``swaps``."""
+    comps = list(d.components)
+    for ci, i, j in swaps:
+        comp = comps[ci]
+        ps = list(comp.passages)
+        ps[i], ps[j] = ps[j], ps[i]
+        comps[ci] = Component(comp.kind, comp.label, tuple(ps), comp.surgery)
+    return Diagram(d.mode, tuple(comps), dict(d.crossings))
 
 
 # ---------------------------------------------------------------------------
 # move scans
 # ---------------------------------------------------------------------------
 #
-# The one precondition of an R1, R2 or commute move is its scan below, and
-# that of an F move is ``find_f_moves``: ``_reduce`` takes a scan's first
-# site, ``find_*`` lists every site, and ``apply_*`` refuses a site the scan
-# does not yield.
+# The one precondition of an R1, R2, R3 or commute move is its scan below,
+# and that of an F move is ``find_f_moves``: ``_reduce`` takes the first
+# site of the R1 and R2 scans (``simplify`` never applies R3), ``find_*``
+# lists every site, and ``apply_*`` refuses a site the scan does not yield.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -201,6 +189,80 @@ def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
                 yield ci, a, b
 
 
+def _r3_sites(d: Diagram) -> Iterator[tuple[int, int, tuple]]:
+    """(component index, a, swaps) for each adjacent pair (a, a + 1) that
+    slides across a crossing, in scan order; ``swaps`` holds the slide's
+    three (component index, i, j) transpositions.
+
+    The pair is the sliding strand's two same-role passages (crossings x
+    then y).  Their partner passages must flank one passage each of a third
+    crossing z, with the triangle conditions
+
+        role(z next to partner of x) = over  iff  the z passage follows the
+            partner exactly when sign(x) is positive,
+        role(z next to partner of y) = under iff  the z passage follows the
+            partner exactly when sign(y) is positive,
+        sign(z) = sign(x) * sign(y) for an over-slide, its negative for an
+            under-slide
+
+    (derived from the oriented braid-relation variants).  All three adjacent
+    pairs transpose.  The first triangle found at a pair is kept, trying
+    next to each partner the passage after it, then the one before it.
+    """
+    comps = d.components
+    signs = d.crossings
+
+    def flanks(slot: tuple[int, int], sign: int, over_when_same: bool):
+        """(slot, crossing) of each passage flanking a partner's ``slot``
+        that may be z's."""
+        pci, pp = slot
+        for delta in (+1, -1):
+            q = _neighbor(comps[pci], pp, delta)
+            if q is not None:
+                cid, role = comps[pci].passages[q]
+                same = delta == sign  # z follows the partner iff sign positive
+                if (role == OVER) == (same if over_when_same else not same):
+                    yield (pci, q), cid
+
+    def triangle(ci: int, a: int, b: int) -> tuple | None:
+        (x, rho), (y, ry) = comps[ci].passages[a], comps[ci].passages[b]
+        if x == y or ry != rho:
+            return None
+        sx = _other_slot(d, x, (ci, a))
+        sy = _other_slot(d, y, (ci, b))
+        want_z_sign = signs[x] * signs[y] * (1 if rho == OVER else -1)
+        for zx_slot, zx in flanks(sx, signs[x], over_when_same=True):
+            for zy_slot, zy in flanks(sy, signs[y], over_when_same=False):
+                if (zx == zy and zx not in (x, y)
+                        and signs[zx] == want_z_sign
+                        and len({(ci, a), (ci, b), sx, zx_slot,
+                                 sy, zy_slot}) == 6):
+                    return (ci, a, b), (*sx, zx_slot[1]), (*sy, zy_slot[1])
+        return None
+
+    for ci, comp in enumerate(comps):
+        for a, b in _adjacent_pairs(comp):
+            swaps = triangle(ci, a, b)
+            if swaps is not None:
+                yield ci, a, swaps
+
+
+def _site_at(scan, d: Diagram, at: tuple[str, int]) -> tuple:
+    """The site ``scan`` yields at the adjacent pair named by ``at``; the
+    move's one precondition."""
+    label, a = at
+    ci = d.component_index(label)
+    for site in scan(d):
+        if site[0] == ci and site[1] == a:
+            return site
+    raise MoveError(f"the move does not apply at {label}[{a}]")
+
+
+def _find(scan, d: Diagram) -> list[tuple[str, int]]:
+    """(label, a) of every site ``scan`` yields, in scan order."""
+    return [(d.components[site[0]].label, site[1]) for site in scan(d)]
+
+
 # ---------------------------------------------------------------------------
 # individual moves
 # ---------------------------------------------------------------------------
@@ -209,31 +271,25 @@ def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
 def apply_r1(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Remove a kink: the two passages of one crossing sit adjacently on one
     component (consecutively, wrapping for loops)."""
-    ci, a, _ = _site(d, at)
-    for cj, aj, cid in _r1_pairs(d):
-        if (cj, aj) == (ci, a):
-            return _drop_crossings(d, {cid})
-    raise MoveError(f"no kink at {at[0]}[{a}]: the passages belong to "
-                    f"different crossings")
+    return _drop_crossings(d, {_site_at(_r1_pairs, d, at)[2]})
 
 
 def apply_r2(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Cancel a bigon: adjacent same-role passages of two opposite-sign
     crossings whose partner passages are adjacent in reversed order."""
-    ci, a, _ = _site(d, at)
-    for cj, aj, x, y in _r2_pairs(d):
-        if (cj, aj) == (ci, a):
-            return _drop_crossings(d, {x, y})
-    raise MoveError(f"no bigon at {at[0]}[{a}]")
+    return _drop_crossings(d, set(_site_at(_r2_pairs, d, at)[2:]))
 
 
 def apply_welded_commute(d: Diagram, at: tuple[str, int]) -> Diagram:
     """Exchange two consecutive over-passages on one component (the allowed
     forbidden move of the welded calculus)."""
-    site = _site(d, at)
-    if site not in _commute_pairs(d):
-        raise MoveError("only adjacent over-passages commute")
-    return _swap(d, *site)
+    return _swap(d, _site_at(_commute_pairs, d, at))
+
+
+def apply_r3(d: Diagram, at: tuple[str, int]) -> Diagram:
+    """Slide a strand across a crossing (see ``_r3_sites``).
+    Validity-preserving only; never applied by simplify."""
+    return _swap(d, *_site_at(_r3_sites, d, at)[2])
 
 
 def apply_f_move(d: Diagram, crossing: int) -> Diagram:
@@ -245,82 +301,25 @@ def apply_f_move(d: Diagram, crossing: int) -> Diagram:
     return _drop_crossings(d, {crossing})
 
 
-def apply_r3(d: Diagram, at: tuple[str, int]) -> Diagram:
-    """Slide a strand across a crossing.
-
-    The pointed adjacent pair is the sliding strand's two same-role passages
-    (crossings x then y).  Their partner passages must flank one passage each
-    of a third crossing z, with the triangle conditions
-
-        role(z next to partner of x) = over  iff  the z passage follows the
-            partner exactly when sign(x) is positive,
-        role(z next to partner of y) = under iff  the z passage follows the
-            partner exactly when sign(y) is positive,
-        sign(z) = sign(x) * sign(y) for an over-slide, its negative for an
-            under-slide
-
-    (derived from the oriented braid-relation variants).  All three adjacent
-    pairs transpose.  Validity-preserving only; never applied by simplify.
-    """
-    label, i = at
-    ci = d.component_index(label)
-    comp = d.components[ci]
-    a, b = _pair_at(comp, i)
-    pa, pb = comp.passages[a], comp.passages[b]
-    x, y, rho = pa.crossing, pb.crossing, pa.role
-    if x == y or pb.role != rho:
-        raise MoveError("sliding pair must be same-role passages of two crossings")
-    sx_ci, sx_p = _other_slot(d, x, (ci, a))
-    sy_ci, sy_p = _other_slot(d, y, (ci, b))
-    s_x, s_y = d.crossings[x], d.crossings[y]
-
-    def candidates(pci: int, pp: int, sign: int, over_when_same: bool):
-        """(position, passage) options for the z passage flanking a partner."""
-        out = []
-        for delta in (+1, -1):
-            q = _neighbor(d.components[pci], pp, delta)
-            if q is None:
-                continue
-            passage = d.components[pci].passages[q]
-            same = delta == sign  # z follows the partner iff sign positive
-            want_over = same if over_when_same else not same
-            if (passage.role == OVER) == want_over:
-                out.append((q, passage))
-        return out
-
-    want_z_sign = s_x * s_y if rho == OVER else -s_x * s_y
-    for zx_p, zx in candidates(sx_ci, sx_p, s_x, over_when_same=True):
-        for zy_p, zy in candidates(sy_ci, sy_p, s_y, over_when_same=False):
-            if zx.crossing != zy.crossing or zx.crossing in (x, y):
-                continue
-            if d.crossings[zx.crossing] != want_z_sign:
-                continue
-            slots = [(ci, a), (ci, b), (sx_ci, sx_p), (sx_ci, zx_p),
-                     (sy_ci, sy_p), (sy_ci, zy_p)]
-            if len(set(slots)) != 6:
-                continue
-            out = _swap(d, ci, a, b)
-            out = _swap(out, sx_ci, sx_p, zx_p)
-            out = _swap(out, sy_ci, sy_p, zy_p)
-            return out
-    raise MoveError("no slide triangle at this pair")
-
-
 # ---------------------------------------------------------------------------
 # move discovery
 # ---------------------------------------------------------------------------
 
 
 def find_r1_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(d.components[ci].label, a) for ci, a, _ in _r1_pairs(d)]
+    return _find(_r1_pairs, d)
 
 
 def find_r2_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(d.components[ci].label, a) for ci, a, _, _ in _r2_pairs(d)]
+    return _find(_r2_pairs, d)
 
 
 def find_commute_moves(d: Diagram) -> list[tuple[str, int]]:
-    return [(d.components[ci].label, a) for ci, a, _ in _commute_pairs(d)]
+    return _find(_commute_pairs, d)
+
+
+def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
+    return _find(_r3_sites, d)
 
 
 def find_f_moves(d: Diagram) -> list[int]:
@@ -334,18 +333,6 @@ def find_f_moves(d: Diagram) -> list[int]:
         return []
     return sorted({p.crossing for p, q in ((a[0], b[0]), (a[-1], b[-1]))
                    if p.crossing == q.crossing})
-
-
-def find_r3_moves(d: Diagram) -> list[tuple[str, int]]:
-    out = []
-    for comp in d.components:
-        for a, _ in _adjacent_pairs(comp):
-            try:
-                apply_r3(d, (comp.label, a))
-            except MoveError:
-                continue
-            out.append((comp.label, a))
-    return out
 
 
 # ---------------------------------------------------------------------------
