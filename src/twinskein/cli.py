@@ -66,14 +66,16 @@ def cmd_invariant(args) -> int:
     t0 = time.perf_counter()
     result = evaluate(d, cfg)
     elapsed = (time.perf_counter() - t0) * 1000
+    # render everything first: a value too long to print prints nothing
+    value = (result.value.render() if result.resolved
+             else f"unresolved: {result.unresolved_reason}")
+    text = export_trace(result, args.trace) if args.trace is not None else None
     stats = result.stats
     print(f"stats: nodes={stats.nodes_expanded} memo_hits={stats.memo_hits} "
           f"max_depth={stats.max_depth} elapsed_ms={elapsed:.1f}",
           file=sys.stderr)
-    print(result.value.render() if result.resolved
-          else f"unresolved: {result.unresolved_reason}")
-    if args.trace is not None:
-        text = export_trace(result, args.trace)
+    print(value)
+    if text is not None:
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as f:
                 f.write(text + "\n")

@@ -25,6 +25,20 @@ _TERM_RE = re.compile(
 _DIGIT_GAP_RE = re.compile(r"[0-9]\s+[0-9]")
 
 
+def _decimal(n: int) -> str:
+    """The decimal text of a natural number; a LaurentError where it is
+    longer than the interpreter's limit on int-string conversion allows,
+    since ``parse`` could not read it back."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = max(1, int(n.bit_length() * 0.30102999566398120) - 1)
+        while 10 ** digits <= n:  # the estimate undercounts by one or two
+            digits += 1
+        raise LaurentError(f"coefficient of {digits} digits is past the "
+                           f"limit on int-string conversion") from None
+
+
 class LaurentPoly:
     """An integer Laurent polynomial, stored as a sparse exponent -> coefficient map.
 
@@ -159,9 +173,9 @@ class LaurentPoly:
         for e, c in self.pairs():
             mag = abs(c)
             if e == 0:
-                body = str(mag)
+                body = _decimal(mag)
             else:
-                head = "" if mag == 1 else str(mag)
+                head = "" if mag == 1 else _decimal(mag)
                 body = f"{head}{var}" if e == 1 else f"{head}{var}^{e}"
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")

@@ -251,6 +251,20 @@ class TestInvariant:
         assert out == ""
         assert err == "error: number too long in term 't^9999999999'...\n"
 
+    @pytest.mark.parametrize("trace", [[], ["--trace", "json"],
+                                       ["--trace", "dot"]],
+                             ids=["plain", "json", "dot"])
+    def test_value_past_the_conversion_limit_is_an_error(
+            self, capsys, long_number, trace):
+        # the multiplier's 4,000 nines read as an int, but the value holds
+        # its square, which no int-string conversion may print
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--multiplier", f"{long_number[:4000]}t", *trace)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: coefficient of 8000 digits is past the limit "
+                       "on int-string conversion\n")
+
     def test_zero_multiplier_is_a_config_error(self, capsys):
         code, _, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
                            "--multiplier", "0")

@@ -140,6 +140,24 @@ class TestRendering:
             LaurentPoly.parse(template.replace("N", long_number))
         assert str(exc.value) == f"number too long in term {term[:12]!r}..."
 
+    @pytest.mark.parametrize("terms", [{0: 1}, {1: -1}, {-2: 1, 3: 1}],
+                             ids=["constant", "term", "second-term"])
+    def test_render_refuses_a_coefficient_past_the_conversion_limit(
+            self, long_number, terms):
+        # str() refuses it with a bare ValueError; parse could not read it
+        big = 10 ** len(long_number) - 1
+        p = LaurentPoly({e: c * big for e, c in terms.items()})
+        with pytest.raises(LaurentError) as exc:
+            p.render()
+        assert str(exc.value) == ("coefficient of 5000 digits is past the "
+                                  "limit on int-string conversion")
+
+    def test_render_names_the_exact_digit_count(self, long_number):
+        for n, digits in ((10 ** 4999, 5000), (10 ** 5000 - 1, 5000),
+                          (10 ** 5000, 5001), (2 ** 20000, 6021)):
+            with pytest.raises(LaurentError, match=f"of {digits} digits"):
+                LaurentPoly({1: n}).render()
+
     @pytest.mark.parametrize("text", ["\u0663t - t^-\u0661", "1 + \u0662t"])
     def test_parse_refuses_non_ascii_digits(self, text):
         # int() reads any decimal digit; the polynomial text has ASCII ones
