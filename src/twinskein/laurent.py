@@ -32,7 +32,7 @@ def _decimal(n: int) -> str:
     try:
         return str(n)
     except ValueError:
-        digits = max(1, int(n.bit_length() * 0.30102999566398120) - 1)
+        digits = int(n.bit_length() * 0.30102999566398120) - 1
         while 10 ** digits <= n:  # the estimate undercounts by one or two
             digits += 1
         raise LaurentError(f"coefficient of {digits} digits is past the "
