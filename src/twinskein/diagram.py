@@ -73,9 +73,6 @@ class Passage(NamedTuple):
     crossing: int
     role: str  # OVER or UNDER
 
-    def flipped(self) -> "Passage":
-        return Passage(self.crossing, UNDER if self.role == OVER else OVER)
-
     def token(self, sign: int) -> str:
         return f"{self.role}{self.crossing}{'+' if sign > 0 else '-'}"
 

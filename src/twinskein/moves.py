@@ -120,9 +120,10 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 # ---------------------------------------------------------------------------
 #
 # The one precondition of an R1, R2, R3 or commute move is its scan below,
-# and that of an F move is ``find_f_moves``: ``_reduce`` takes the first
-# site of the R1 and R2 scans (``simplify`` never applies R3), ``find_*``
-# lists every site, and ``apply_*`` refuses a site the scan does not yield.
+# and that of an F move is ``find_f_moves``: ``simplify`` takes the first
+# site of the R2 scan and of ``find_f_moves`` and finds the R1 scan's sites
+# in its kink pass (it never applies R3), ``find_*`` lists every site, and
+# ``apply_*`` refuses a site the scan does not yield.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -340,26 +341,6 @@ def find_f_moves(d: Diagram) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
-    """Apply the first enabled crossing-removing move, scanning R1 then R2
-    then F, then the reductions that welded commutes enable; None when no
-    such move is enabled."""
-    for ci, a, cid in _r1_pairs(d):
-        return (_drop_crossings(d, {cid}),
-                MoveEvent(R1, (cid,), (d.components[ci].label, a)))
-    for ci, a, x, y in _r2_pairs(d):
-        return (_drop_crossings(d, {x, y}),
-                MoveEvent(R2, (x, y), (d.components[ci].label, a)))
-    fmoves = find_f_moves(d)
-    found = (F_MOVE, (fmoves[0],)) if fmoves else _commuted_reduction(d)
-    if found is None:
-        return None
-    kind, cids = found
-    ci, pos = d.slot_index()[cids[0]][0]
-    return (_drop_crossings(d, set(cids)),
-            MoveEvent(kind, cids, (d.components[ci].label, pos)))
-
-
 def _over_runs(comp: Component) -> dict[int, list[int]]:
     """Each over-passage position -> its maximal stretch of consecutive
     over-passages, as positions in run order (wrapping for loops; an
@@ -399,7 +380,7 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     The kink and slide searches keep the least crossing id among all they
     find, as a search in crossing order would.
     """
-    if next(_commute_pairs(d), None) is None:
+    if not _any_over_pair(d):
         return None  # no commute can take a first step
     comps = d.components
     runs = [_over_runs(c) for c in comps]
@@ -460,16 +441,96 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
+def _any_over_pair(d: Diagram) -> bool:
+    """Whether some adjacent pair is over-over: the test that a commute can
+    take a first step, as a walk over the roles."""
+    for comp in d.components:
+        ps = comp.passages
+        last = ps[-1][1] if comp.kind == LOOP and len(ps) > 1 else UNDER
+        for p in ps:
+            role = p[1]
+            if role == OVER and last == OVER:
+                return True
+            last = role
+    return False
+
+
+def _drop_kinks(d: Diagram, events: list[MoveEvent]) -> Diagram:
+    """The diagram with every kink dropped, appending an R1 event for each
+    in the order that repeatedly taking the R1 scan's first site gives.
+
+    Dropping a kink moves no kink to another component and makes no two
+    passages of a kink-free stretch adjacent, so each component takes one
+    stack pass: a passage whose crossing is the stack top's cancels it,
+    at position ``len(stack)``.  A loop then cancels across its wrap while
+    its first and last passages share a crossing."""
+    comps = d.components
+    new_comps = None
+    dropped = []
+    for ci, comp in enumerate(comps):
+        ps = comp.passages
+        stack = []
+        for p in ps:
+            if stack and stack[-1][0] == p[0]:
+                stack.pop()
+                dropped.append(p[0])
+                events.append(MoveEvent(R1, (p[0],), (comp.label, len(stack))))
+            else:
+                stack.append(p)
+        if comp.kind == LOOP:
+            while len(stack) > 1 and stack[0][0] == stack[-1][0]:
+                dropped.append(stack[0][0])
+                events.append(MoveEvent(R1, (stack[0][0],),
+                                        (comp.label, len(stack) - 1)))
+                stack = stack[1:-1]
+        if len(stack) < len(ps):
+            if new_comps is None:
+                new_comps = list(comps)
+            new_comps[ci] = Component(comp.kind, comp.label, tuple(stack),
+                                      comp.surgery)
+    if new_comps is None:
+        return d
+    signs = dict(d.crossings)
+    for cid in dropped:
+        del signs[cid]
+    return Diagram(d.mode, tuple(new_comps), signs)
+
+
+def _drop_at_first_slot(d: Diagram, kind: str, cids: tuple[int, ...],
+                        events: list[MoveEvent]) -> Diagram:
+    """The diagram without the crossings ``cids``, appending their event,
+    placed at the first crossing's first slot."""
+    ci, pos = d.slot_index()[cids[0]][0]
+    events.append(MoveEvent(kind, cids, (d.components[ci].label, pos)))
+    return _drop_crossings(d, set(cids))
+
+
 def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
     """Greedy fixpoint of R1 > R2 > F, then of the reductions that welded
     commutes enable.  Deterministic; every step removes crossings, and no
     step applies a commute.
+
+    The events are those of restarting every scan after each move, made in
+    phases: drop every kink, cancel the R2 scan's first bigon and start
+    again, until neither is left.  An endpoint move makes no two passages
+    adjacent, so none is left after one either: the endpoint moves follow
+    one another, and then a commute-enabled reduction, after which the
+    phases start again.
     """
     events: list[MoveEvent] = []
-    while (red := _reduce(d)) is not None:
-        d, ev = red
-        events.append(ev)
-    return d, tuple(events)
+    while True:
+        d = _drop_kinks(d, events)
+        for ci, a, x, y in _r2_pairs(d):
+            events.append(MoveEvent(R2, (x, y), (d.components[ci].label, a)))
+            d = _drop_crossings(d, {x, y})
+            break
+        else:
+            while fmoves := find_f_moves(d):
+                d = _drop_at_first_slot(d, F_MOVE, (fmoves[0],), events)
+            found = _commuted_reduction(d)
+            if found is None:
+                return d, tuple(events)
+            d = _drop_at_first_slot(d, *found, events)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .diagram import (
     Diagram,
     DiagramError,
     LOOP,
+    OVER,
+    Passage,
     TWIN,
     UNDER,
     ValueEq,
@@ -146,21 +148,28 @@ class SkeinResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+_new = tuple.__new__
+
+
 def switch_crossing(d: Diagram, crossing: int) -> Diagram:
     """Swap the over/under roles of the crossing's passages and flip its sign.
     Components that do not meet the crossing are kept as they are.  No
     passage moves, so the switched diagram shares every layout fact the
-    parent has cached (see ``Diagram``)."""
+    parent has cached (see ``Diagram``).
+
+    The flipped passage and the changed components are built with
+    ``tuple.__new__``, as their ``_make`` does, and read by index: the
+    switch runs at every node that branches."""
     if crossing not in d.crossings:
         raise DiagramError(f"unknown crossing id {crossing}")
     comps = list(d.components)
-    index = d.slot_index()
-    for ci, pi in index.get(crossing, ()):
+    for ci, pi in d.slot_index().get(crossing, ()):
         c = comps[ci]
-        ps = c.passages
-        comps[ci] = Component(c.kind, c.label,
-                              ps[:pi] + (ps[pi].flipped(),) + ps[pi + 1:],
-                              c.surgery)
+        ps = c[2]
+        flipped = _new(Passage, (crossing,
+                                 UNDER if ps[pi][1] == OVER else OVER))
+        comps[ci] = _new(Component, (c[0], c[1],
+                                     ps[:pi] + (flipped,) + ps[pi + 1:], c[3]))
     signs = dict(d.crossings)
     signs[crossing] = -signs[crossing]
     switched = Diagram(d.mode, tuple(comps), signs)

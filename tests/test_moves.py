@@ -29,8 +29,11 @@ from twinskein.moves import (
     MoveError,
     MoveEvent,
     _adjacent_pairs,
+    _commuted_reduction,
+    _drop_crossings,
     _other_slot,
-    _reduce,
+    _r1_pairs,
+    _r2_pairs,
     apply_f_move,
     apply_r1,
     apply_r2,
@@ -275,6 +278,26 @@ def reference_f_moves(d: Diagram) -> list[int]:
                                and p2 == len(comp2.passages) - 1)):
             out.append(cid)
     return out
+
+
+def _reduce(d: Diagram) -> tuple[Diagram, MoveEvent] | None:
+    """simplify's one-step reference: apply the first enabled
+    crossing-removing move, scanning R1 then R2 then F, then the reductions
+    that welded commutes enable; None when no such move is enabled."""
+    for ci, a, cid in _r1_pairs(d):
+        return (_drop_crossings(d, {cid}),
+                MoveEvent(R1, (cid,), (d.components[ci].label, a)))
+    for ci, a, x, y in _r2_pairs(d):
+        return (_drop_crossings(d, {x, y}),
+                MoveEvent(R2, (x, y), (d.components[ci].label, a)))
+    fmoves = find_f_moves(d)
+    found = (F_MOVE, (fmoves[0],)) if fmoves else _commuted_reduction(d)
+    if found is None:
+        return None
+    kind, cids = found
+    ci, pos = d.slot_index()[cids[0]][0]
+    return (_drop_crossings(d, set(cids)),
+            MoveEvent(kind, cids, (d.components[ci].label, pos)))
 
 
 def reference_simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
