@@ -218,6 +218,54 @@ def conway(code: LinkCode | ClassicalKnotCode) -> LaurentPoly:
         {ids[cid]: s for cid, s in code.crossings.items()}, {})
 
 
+def is_classical(code: LinkCode | ClassicalKnotCode) -> bool:
+    """Whether a planar diagram realizes the code: whether its Carter
+    surface has genus 0 (Kamada and Kamada 2000; Carter, Kamada and Saito
+    2002).
+
+    The half-edges at a crossing are (crossing, role, end), end 0 where
+    the strand comes in and 1 where it goes out.  The crossing's sign fixes
+    their cyclic order, and each segment of a component pairs the out
+    half-edge of one passage with the in half-edge of the next.  The faces
+    are the cycles of the rotation after the pairing.  With n crossings, 2n
+    segments and k connected pieces that hold a crossing, the Euler
+    characteristic F - n is 2k exactly when every piece is a sphere."""
+    comps = ((code.passages,) if isinstance(code, ClassicalKnotCode)
+             else code.components)
+    pairing = {}
+    owner = {}  # crossing -> the first component met through it
+    parent = list(range(len(comps)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for ci, comp in enumerate(comps):
+        for p, q in zip(comp, comp[1:] + comp[:1]):
+            pairing[p.crossing, p.role, 1] = (q.crossing, q.role, 0)
+            pairing[q.crossing, q.role, 0] = (p.crossing, p.role, 1)
+            parent[root(ci)] = root(owner.setdefault(p.crossing, ci))
+    # counterclockwise at a positive crossing: over out, under out, over
+    # in, under in; a negative crossing swaps the under strand's ends
+    rotation = {}
+    for cid, sign in code.crossings.items():
+        first, last = (1, 0) if sign > 0 else (0, 1)
+        ring = ((cid, OVER, 1), (cid, UNDER, first), (cid, OVER, 0),
+                (cid, UNDER, last))
+        for h, nxt in zip(ring, ring[1:] + ring[:1]):
+            rotation[h] = nxt
+    faces = 0
+    unseen = set(pairing)
+    while unseen:
+        faces += 1
+        h = unseen.pop()
+        while (h := rotation[pairing[h]]) in unseen:
+            unseen.remove(h)
+    pieces = len({root(ci) for ci, comp in enumerate(comps) if comp})
+    return faces == len(code.crossings) + 2 * pieces
+
+
 def alexander_at_t_squared(k: ClassicalKnotCode) -> LaurentPoly:
     """The symmetrized Alexander polynomial at t^2, directly in t:
     conway(k) evaluated at z = t - t^-1.  Like ``conway``, an invariant of

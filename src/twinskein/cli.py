@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain failure (validation violations or an
-unresolved evaluation, distinguished by the printed code), 2 I/O, parse or
-configuration errors.
+Exit codes: 0 success, 1 domain failure (validation violations, an
+unresolved evaluation or a knot code ``conway`` refuses, distinguished by
+the printed code), 2 I/O, parse or configuration errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .alexander import alexander_at_t_squared, conway
+from .alexander import alexander_at_t_squared, conway, is_classical
 from .constructions import artin_spin, knot_code, table_knot, twin_closure
 from .diagram import (
     DiagramError,
@@ -87,6 +87,10 @@ def cmd_invariant(args) -> int:
 def cmd_conway(args) -> int:
     code = (table_knot(args.knot) if args.knot is not None
             else knot_code(_load_diagram(args.path)))
+    if not is_classical(code):
+        raise DiagramError("the knot code is not classical (its surface has "
+                           "positive genus), so its Conway value is not an "
+                           "invariant")
     print(conway(code).render("z"))
     print(alexander_at_t_squared(code).render("u"))
     return EXIT_OK

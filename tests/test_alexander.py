@@ -11,13 +11,18 @@ from twinskein.alexander import (
     braid_closure_knot,
     conway,
     diagram_to_link,
+    is_classical,
     link_to_diagram,
 )
+from twinskein.acceptance import _SEED, _random_moves
 from twinskein.constructions import (ClassicalKnotCode, check_gauss_roles,
-                                    table_knot)
-from twinskein.diagram import OVER, UNDER, DiagramError, Passage
+                                    fixture_text, knot_code, table_knot)
+from twinskein.diagram import OVER, UNDER, DiagramError, Passage, parse
 from twinskein.laurent import LaurentPoly
 from twinskein.moves import (
+    R1,
+    R2,
+    R3,
     apply_r1,
     apply_r2,
     apply_r3,
@@ -158,6 +163,67 @@ class TestBraidClosure:
     def test_bad_letter(self):
         with pytest.raises(DiagramError):
             braid_closure([3], strands=2)
+
+
+def random_gauss_codes(rng: random.Random, count: int):
+    """Seeded random knot codes with 2 to 6 crossings: shuffled passages,
+    random signs.  Most of them are not classical."""
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        passages = [Passage(c, role) for c in range(1, n + 1)
+                    for role in (OVER, UNDER)]
+        rng.shuffle(passages)
+        yield passages, {c: rng.choice((1, -1)) for c in range(1, n + 1)}
+
+
+class TestIsClassical:
+    def test_table_knots(self):
+        assert all(is_classical(table_knot(name)) for name in NABLA)
+
+    def test_braid_closures(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            word = [rng.choice((1, -1)) * rng.randint(1, 4)
+                    for _ in range(rng.randint(1, 12))]
+            assert is_classical(braid_closure(word, 5)), word
+
+    def test_moves_of_the_corpus_keep_a_closure_classical(self):
+        # the moves of the corpus's conway-oracle case
+        rng = random.Random(_SEED)
+        moved = 0
+        while moved < 100:
+            word = [rng.choice([1, -1, 2, -2, 3, -3])
+                    for _ in range(rng.randint(3, 8))]
+            d, applied = _random_moves(rng,
+                                       link_to_diagram(braid_closure(word)),
+                                       (R1, R2, R3), rng.randint(1, 4))
+            if applied:
+                assert is_classical(diagram_to_link(d)), word
+                moved += 1
+
+    def test_giller_example_and_virtual_trefoil_are_not_classical(self):
+        assert not is_classical(knot_code(parse(fixture_text(
+            "giller_ex.knot"))))
+        virtual_trefoil = (Passage(1, OVER), Passage(2, OVER),
+                           Passage(1, UNDER), Passage(2, UNDER))
+        assert not is_classical(ClassicalKnotCode(virtual_trefoil,
+                                                  {1: 1, 2: 1}))
+
+    def test_crossingless_codes_are_classical(self):
+        assert is_classical(ClassicalKnotCode((), {}))
+        assert is_classical(LinkCode(((), ()), {}))
+
+    def test_separates_the_codes_whose_value_depends_on_the_base_point(self):
+        dependent = 0
+        for passages, signs in random_gauss_codes(random.Random(400), 400):
+            values = {conway(ClassicalKnotCode(
+                tuple(passages[r:] + passages[:r]), signs))
+                for r in range(len(passages))}
+            classical = is_classical(ClassicalKnotCode(tuple(passages),
+                                                       signs))
+            assert classical == (len(values) == 1), passages
+            dependent += not classical
+        assert dependent == 301
 
 
 # ---------------------------------------------------------------------------

@@ -308,10 +308,20 @@ class TestConway:
         code, _, err = run(capsys, "conway", "--knot", "99_99")
         assert code == 1
 
-    def test_knot_file(self, capsys):
-        code, out, _ = run(capsys, "conway", f"{FIX}/giller_ex.knot")
+    def test_knot_file(self, capsys, tmp_path):
+        f = tmp_path / "trefoil.knot"
+        f.write_text("knot { arc K: O1+ U2+ O3+ U1+ O2+ U3+ ; }\n")
+        code, out, _ = run(capsys, "conway", str(f))
         assert code == 0
         assert out == "1 + z^2\nu^-2 - 1 + u^2\n"
+
+    def test_non_classical_code_is_a_domain_failure(self, capsys):
+        # Giller's example has genus 1: its Conway value is not an invariant
+        code, out, err = run(capsys, "conway", f"{FIX}/giller_ex.knot")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the knot code is not classical")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         "twin { arc A: O1+ U1+ ; arc B: ; }\n",
