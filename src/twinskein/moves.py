@@ -461,9 +461,10 @@ def _drop_kinks(d: Diagram, events: list[MoveEvent]) -> Diagram:
 
     Dropping a kink moves no kink to another component and makes no two
     passages of a kink-free stretch adjacent, so each component takes one
-    stack pass: a passage whose crossing is the stack top's cancels it,
-    at position ``len(stack)``.  A loop then cancels across its wrap while
-    its first and last passages share a crossing."""
+    stack pass: a passage whose crossing is the stack top's cancels it, a
+    kink at position ``len(stack)`` once the top is popped.  A loop then
+    cancels across its wrap, at position ``len(stack) - 1``, while its
+    first and last passages share a crossing."""
     comps = d.components
     new_comps = None
     dropped = []
@@ -471,16 +472,18 @@ def _drop_kinks(d: Diagram, events: list[MoveEvent]) -> Diagram:
         ps = comp.passages
         stack = []
         for p in ps:
-            if stack and stack[-1][0] == p[0]:
+            cid = p[0]
+            if stack and stack[-1][0] == cid:
                 stack.pop()
-                dropped.append(p[0])
-                events.append(MoveEvent(R1, (p[0],), (comp.label, len(stack))))
+                dropped.append(cid)
+                events.append(MoveEvent(R1, (cid,), (comp.label, len(stack))))
             else:
                 stack.append(p)
         if comp.kind == LOOP:
             while len(stack) > 1 and stack[0][0] == stack[-1][0]:
-                dropped.append(stack[0][0])
-                events.append(MoveEvent(R1, (stack[0][0],),
+                cid = stack[0][0]
+                dropped.append(cid)
+                events.append(MoveEvent(R1, (cid,),
                                         (comp.label, len(stack) - 1)))
                 stack = stack[1:-1]
         if len(stack) < len(ps):
@@ -513,8 +516,8 @@ def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
     The events are those of restarting every scan after each move, made in
     phases: drop every kink, cancel the R2 scan's first bigon and start
     again, until neither is left.  An endpoint move makes no two passages
-    adjacent, so none is left after one either: the endpoint moves follow
-    one another, and then a commute-enabled reduction, after which the
+    adjacent, so no kink or bigon appears after one: the endpoint moves
+    follow one another, then a commute-enabled reduction, after which the
     phases start again.
     """
     events: list[MoveEvent] = []
