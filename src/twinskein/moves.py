@@ -121,9 +121,10 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 #
 # The one precondition of an R1, R2, R3 or commute move is its scan below,
 # and that of an F move is ``find_f_moves``: ``simplify`` takes the first
-# site of the R2 scan and of ``find_f_moves`` and finds the R1 scan's sites
-# in its kink pass (it never applies R3), ``find_*`` lists every site, and
-# ``apply_*`` refuses a site the scan does not yield.
+# site of the R2 scan (its round walk asks the scan's own ``_bigon``) and of
+# ``find_f_moves`` and finds the R1 scan's sites in its kink pass (it never
+# applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a site
+# the scan does not yield.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -143,8 +144,8 @@ def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
 def _same_role_pairs(d: Diagram) -> Iterator[tuple]:
     """(component index, a, role, x, y, x's other slot, y's other slot) for
     each adjacent pair (a, a + 1) holding same-role passages of two
-    opposite-sign crossings x then y, in scan order: the pairs at which a
-    bigon may cancel."""
+    opposite-sign crossings x then y, in scan order: the pairs at which the
+    commute search looks for a bigon."""
     signs = d.crossings
     index = None
     for ci, comp in enumerate(d.components):
@@ -170,14 +171,59 @@ def _same_role_pairs(d: Diagram) -> Iterator[tuple]:
             a += 1
 
 
+def _bigon(d: Diagram, ci: int, a: int, b: int, x: int, y: int) -> bool:
+    """Whether the adjacent same-role passages (ci, a) of crossing x and
+    (ci, b) of crossing y bound a bigon: x and y are distinct, of opposite
+    sign, and their other passages sit adjacently in reversed order.  The
+    one bigon condition, which ``_r2_pairs`` and ``_round_walk`` ask of
+    every same-role adjacent pair."""
+    signs = d.crossings
+    if x == y or signs[x] == signs[y]:
+        return False
+    index = d.slot_index()
+    (xc, xp), x2 = index[x]
+    if xc == ci and xp == a:
+        xc, xp = x2
+    (yc, yp), y2 = index[y]
+    if yc == ci and yp == b:
+        yc, yp = y2
+    return xc == yc and _neighbor(d.components[yc], yp, +1) == xp
+
+
 def _r2_pairs(d: Diagram) -> Iterator[tuple[int, int, int, int]]:
-    """(component index, a, x, y) for each bigon: an adjacent pair of
-    same-role passages of opposite-sign crossings x then y whose other
-    passages sit adjacently in reversed order, in scan order."""
-    comps = d.components
-    for ci, a, _, x, y, (xc, xp), (yc, yp) in _same_role_pairs(d):
-        if xc == yc and _neighbor(comps[yc], yp, +1) == xp:
-            yield ci, a, x, y
+    """(component index, a, x, y) for each bigon (see ``_bigon``), in scan
+    order."""
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        for a, b in _adjacent_pairs(comp):
+            (x, rx), (y, ry) = ps[a], ps[b]
+            if rx == ry and _bigon(d, ci, a, b, x, y):
+                yield ci, a, x, y
+
+
+def _round_walk(d: Diagram) -> tuple[bool, tuple | None, bool]:
+    """(whether some adjacent pair is a kink, the R2 scan's first site or
+    None, whether some adjacent pair is over-over), from one walk over each
+    component's adjacent pairs, a loop's wrap pair included."""
+    kink = over_pair = False
+    bigon = None
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        n = len(ps)
+        if n < 2:
+            continue
+        x, rx = ps[0]
+        for b, (y, ry) in enumerate(
+                ps[1:] + ps[:1] if comp.kind == LOOP else ps[1:], 1):
+            if x == y:
+                kink = True
+            if rx == ry:
+                if rx == OVER:
+                    over_pair = True
+                if bigon is None and _bigon(d, ci, b - 1, b % n, x, y):
+                    bigon = ci, b - 1, x, y
+            x, rx = y, ry
+    return kink, bigon, over_pair
 
 
 def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -366,7 +412,10 @@ def _over_runs(comp: Component) -> dict[int, list[int]]:
 def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     """The first reduction that welded-commute moves enable, as (kind,
     crossings); None when there is none.  Asked only when no R1, R2 or F
-    move is enabled as the diagram stands.
+    move is enabled as the diagram stands, and by ``simplify`` only when
+    some adjacent pair is over-over: with none, every over-run is a single
+    passage, so the three searches below can find only a plain kink, bigon
+    or endpoint move, which the caller has already ruled out.
 
     Over-passages permute freely inside a maximal over-run and runs never
     merge, so reachability is decided exactly: a kink needs its over-passage
@@ -380,8 +429,6 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     The kink and slide searches keep the least crossing id among all they
     find, as a search in crossing order would.
     """
-    if not _any_over_pair(d):
-        return None  # no commute can take a first step
     comps = d.components
     runs = [_over_runs(c) for c in comps]
     index = d.slot_index()
@@ -439,20 +486,6 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
         if slides:
             return F_MOVE, (min(slides),)
     return None
-
-
-def _any_over_pair(d: Diagram) -> bool:
-    """Whether some adjacent pair is over-over: the test that a commute can
-    take a first step, as a walk over the roles."""
-    for comp in d.components:
-        ps = comp.passages
-        last = ps[-1][1] if comp.kind == LOOP and len(ps) > 1 else UNDER
-        for p in ps:
-            role = p[1]
-            if role == OVER and last == OVER:
-                return True
-            last = role
-    return False
 
 
 def _drop_kinks(d: Diagram, events: list[MoveEvent]) -> Diagram:
@@ -514,23 +547,28 @@ def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
     step applies a commute.
 
     The events are those of restarting every scan after each move, made in
-    phases: drop every kink, cancel the R2 scan's first bigon and start
-    again, until neither is left.  An endpoint move makes no two passages
-    adjacent, so no kink or bigon appears after one: the endpoint moves
-    follow one another, then a commute-enabled reduction, after which the
-    phases start again.
+    rounds.  Each round opens with one walk (``_round_walk``) that says
+    whether a kink is left, where the R2 scan's first bigon is, and whether
+    an over-over pair is left.  A kink drops every kink, a bigon cancels,
+    and either starts a new round.  With neither, the endpoint moves follow
+    one another (an endpoint move makes no two passages adjacent, so no
+    kink, bigon or over-over pair appears after one), then a
+    commute-enabled reduction, asked only when the walk saw an over-over
+    pair, after which a new round starts.
     """
     events: list[MoveEvent] = []
     while True:
-        d = _drop_kinks(d, events)
-        for ci, a, x, y in _r2_pairs(d):
+        kink, bigon, over_pair = _round_walk(d)
+        if kink:
+            d = _drop_kinks(d, events)
+        elif bigon is not None:
+            ci, a, x, y = bigon
             events.append(MoveEvent(R2, (x, y), (d.components[ci].label, a)))
             d = _drop_crossings(d, {x, y})
-            break
         else:
             while fmoves := find_f_moves(d):
                 d = _drop_at_first_slot(d, F_MOVE, (fmoves[0],), events)
-            found = _commuted_reduction(d)
+            found = _commuted_reduction(d) if over_pair else None
             if found is None:
                 return d, tuple(events)
             d = _drop_at_first_slot(d, *found, events)

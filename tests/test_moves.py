@@ -34,6 +34,7 @@ from twinskein.moves import (
     _other_slot,
     _r1_pairs,
     _r2_pairs,
+    _round_walk,
     apply_f_move,
     apply_r1,
     apply_r2,
@@ -669,6 +670,71 @@ class TestCommuteSearchAgainstReference:
         asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams])
         enabled = {_witness(d) for d in asked}
         assert enabled == {None, R1, R2, F_MOVE}
+
+
+def _reference_over_pair(d: Diagram) -> bool:
+    """Whether some adjacent pair is over-over, read off the pair list."""
+    return any(comp.passages[a].role == comp.passages[b].role == OVER
+               for comp in d.components for a, b in _adjacent_pairs(comp))
+
+
+class TestRoundWalk:
+    """simplify's round walk gives the verdicts of the reference scans."""
+
+    #: (text, (kink, the R2 scan's first site, over-over pair))
+    EDGES = [
+        # a one-passage loop
+        ("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }", (False, None, False)),
+        # two-passage loops, whose pairs are (0, 1) and (1, 0): a kink, and
+        # a bigon first met at the wrap pair (1, 0)
+        ("twin { arc A: ; arc B: ; loop T: O1+ U1+ ; }", (True, None, False)),
+        ("twin { arc A: U3+ ; arc B: ; loop S: U1+ U2- ; "
+         "loop T: O1+ O2- O3+ ; }", (False, (2, 1, 2, 1), True)),
+        # a kink and an over-over pair only across a loop's wrap
+        ("twin { arc A: O2+ ; arc B: ; loop T: O1+ U2+ U1+ ; }",
+         (True, None, False)),
+        ("twin { arc A: U1+ O2+ U3+ ; arc B: ; loop T: O1+ U2+ O3+ ; }",
+         (False, None, True)),
+        # an all-over loop
+        ("twin { arc A: U1+ U2+ U3+ ; arc B: ; loop T: O1+ O2+ O3+ ; }",
+         (False, None, True)),
+        # empty arcs
+        ("twin { arc A: ; arc B: ; }", (False, None, False)),
+        ("twin { arc A: ; arc B: ; loop T: ; }", (False, None, False)),
+        ("twin { arc A: ; arc B: ; loop S: O1+ U2- ; loop T: O2- U1+ ; }",
+         (False, None, False)),
+        # a bigon on arc A and a kink on a later loop: R1 comes first
+        ("twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; "
+         "loop S: O3+ U3+ ; }", (True, (0, 0, 1, 2), True)),
+    ]
+
+    @staticmethod
+    def _check(d: Diagram) -> tuple[bool, tuple | None, bool]:
+        verdicts = _round_walk(d)
+        assert verdicts == (next(_r1_pairs(d), None) is not None,
+                            next(_r2_pairs(d), None),
+                            _reference_over_pair(d)), serialize(d)
+        return verdicts
+
+    @pytest.mark.parametrize("text, verdicts", EDGES)
+    def test_edge_cases(self, text, verdicts):
+        assert self._check(parse(text)) == verdicts
+
+    def test_seeded_diagrams_and_their_reductions(self, rng):
+        seen = set()
+        for i in range(2000):
+            d = _random_with_empty_loops(rng, i)
+            while True:
+                kink, bigon, over_pair = self._check(d)
+                seen.add((kink, bigon is not None, over_pair))
+                red = _reduce(d)
+                if red is None:
+                    break
+                d = red[0]
+        # a bigon's pair or its partners' pair is over-over, so every other
+        # combination of verdicts is met
+        assert len(seen) == 6
+        assert not any(bigon and not over_pair for _, bigon, over_pair in seen)
 
 
 class TestSplitAgainstReference:

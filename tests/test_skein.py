@@ -325,21 +325,52 @@ def _evaluate_all(diagrams):
                 pass
 
 
+def _fact_holders(monkeypatch, rng) -> tuple[list[Diagram], Counter]:
+    """Evaluate the fixtures, the one-crossing twin and 300 random diagrams
+    as ``_evaluate_all`` does, and return every diagram that may hold a
+    layout fact, once each, with the number of slot index builds per
+    diagram id.  A diagram gets a fact where one is made
+    or handed on: its slot index is built, it is a switched diagram, which
+    inherits its parent's facts, or it is an output of ``simplify``, where
+    the engine caches the crossing choice and the split verdict.  This sees
+    every diagram however it was constructed.  Every recorded diagram is
+    kept alive, so ids stay unique."""
+    import twinskein.diagram as diagram
+    import twinskein.skein as skein
+    held: dict[int, Diagram] = {}
+    builds: Counter = Counter()
+    build = diagram._build_slot_index
+    switch = skein.switch_crossing
+    simplify_ = skein.simplify
+
+    def recording_build(d):
+        held[id(d)] = d
+        builds[id(d)] += 1
+        return build(d)
+
+    def recording_switch(d, crossing):
+        child = switch(d, crossing)
+        held[id(child)] = child
+        return child
+
+    def recording_simplify(d):
+        fixed, events = simplify_(d)
+        held[id(fixed)] = fixed
+        return fixed, events
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagram, "_build_slot_index", recording_build)
+        patch.setattr(skein, "switch_crossing", recording_switch)
+        patch.setattr(skein, "simplify", recording_simplify)
+        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
+                      + _random_diagrams(rng, 300))
+    return list(held.values()), builds
+
+
 class TestPassageIndex:
     def test_slots_match_a_scan_on_every_diagram_built(self, rng,
                                                        monkeypatch):
-        built = []
-        new = Diagram.__new__
-
-        def recording_new(cls, *args, **kwargs):
-            d = new(cls, *args, **kwargs)
-            built.append(d)
-            return d
-
-        monkeypatch.setattr(Diagram, "__new__", recording_new)
-        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
-                      + _random_diagrams(rng, 300))
-        monkeypatch.undo()
+        built, _ = _fact_holders(monkeypatch, rng)
         assert len(built) > 1000
         for d in built:
             absent = max(d.crossings, default=0) + 1
@@ -359,26 +390,7 @@ class TestPassageIndex:
 
     def test_each_diagram_builds_its_index_at_most_once(self, rng,
                                                         monkeypatch):
-        import twinskein.diagram as diagram
-        build = diagram._build_slot_index
-        builds: dict[int, int] = {}
-        built = []  # keeps every diagram alive, so ids stay unique
-        new = Diagram.__new__
-
-        def recording_new(cls, *args, **kwargs):
-            d = new(cls, *args, **kwargs)
-            built.append(d)
-            return d
-
-        def counting_build(d):
-            builds[id(d)] = builds.get(id(d), 0) + 1
-            return build(d)
-
-        monkeypatch.setattr(Diagram, "__new__", recording_new)
-        monkeypatch.setattr(diagram, "_build_slot_index", counting_build)
-        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
-                      + _random_diagrams(rng, 300))
-        monkeypatch.undo()
+        built, builds = _fact_holders(monkeypatch, rng)
         # indexed by a build or, after a switch, by the parent's index
         assert sum("_slot_index" in vars(d) for d in built) > 1000
         assert max(builds.values()) == 1
@@ -439,18 +451,7 @@ class TestLayoutFacts:
 
     def test_every_diagram_the_engine_builds_holds_its_own_facts(
             self, rng, monkeypatch):
-        built = []
-        new = Diagram.__new__
-
-        def recording_new(cls, *args, **kwargs):
-            d = new(cls, *args, **kwargs)
-            built.append(d)
-            return d
-
-        monkeypatch.setattr(Diagram, "__new__", recording_new)
-        _evaluate_all(_fixture_diagrams() + [parse(ONE_CROSSING_TWIN)]
-                      + _random_diagrams(rng, 300))
-        monkeypatch.undo()
+        built, _ = _fact_holders(monkeypatch, rng)
         for d in built:
             _assert_facts_are_its_own(d)
         assert sum("_choice_walk" in vars(d) for d in built) > 1000
