@@ -236,22 +236,29 @@ def _property_case(name, runner) -> CaseResult:
 
 
 def _prop_skein_identity(rng) -> int:
-    checked = 0
+    """At every eligible crossing c of a resolved root where both children
+    resolve: whole - switched = sign(c) * m * smoothed.  A case is a root
+    with at least one such crossing."""
+    roots = 0
+    signs = set()
     stream = _resolvable_stream(rng)
-    while checked < PROPERTY_CASES:
+    while roots < PROPERTY_CASES:
         d, whole = next(stream)
-        positives = [c for c in eligible_crossings(d) if d.crossings[c] > 0]
-        if not positives:
-            continue
-        c = positives[0]
-        sw = evaluate(switch_crossing(d, c), SkeinConfig(depth_budget=24))
-        sm = evaluate(smooth_crossing(d, c), SkeinConfig(depth_budget=24))
-        if not (sw.resolved and sm.resolved):
-            continue
-        assert whole.value - sw.value == SKEIN_MULTIPLIER * sm.value, \
-            f"skein identity fails on {serialize(d)} at crossing {c}"
-        checked += 1
-    return checked
+        checked = False
+        for c in eligible_crossings(d):
+            sw = evaluate(switch_crossing(d, c), SkeinConfig(depth_budget=24))
+            sm = evaluate(smooth_crossing(d, c), SkeinConfig(depth_budget=24))
+            if not (sw.resolved and sm.resolved):
+                continue
+            sign = d.crossings[c]
+            term = SKEIN_MULTIPLIER * sm.value
+            assert whole.value - sw.value == (term if sign > 0 else -term), \
+                f"skein identity fails on {serialize(d)} at crossing {c}"
+            checked = True
+            signs.add(sign)
+        roots += checked
+    assert signs == {1, -1}, "no identity checked at a crossing of each sign"
+    return roots
 
 
 #: The finder and the applier of each move kind.

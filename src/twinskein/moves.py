@@ -10,7 +10,6 @@ classical R1/R2/R3 and the endpoint moves for twins.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -63,24 +62,29 @@ class CanonicalForm(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _adjacent_pairs(comp: Component) -> tuple[tuple[int, int], ...]:
-    return _pairs(len(comp.passages), comp.is_loop)
-
-
-@functools.cache  # one entry per component length and kind met
-def _pairs(n: int, loop: bool) -> tuple[tuple[int, int], ...]:
-    if loop:
+def _pair_walk(d: Diagram) -> Iterator[tuple]:
+    """(component index, a, b, x, rx, y, ry) for each adjacent pair (a, b)
+    of passages of crossings x, y in roles rx, ry, in scan order; a loop of
+    two or more passages ends with its wrap pair (n - 1, 0)."""
+    for ci, comp in enumerate(d.components):
+        ps = comp.passages
+        n = len(ps)
         if n < 2:
-            return ()
-        return tuple((i, (i + 1) % n) for i in range(n))
-    return tuple((i, i + 1) for i in range(n - 1))
+            continue
+        x, rx = ps[0]
+        for b in range(1, n):
+            y, ry = ps[b]
+            yield ci, b - 1, b, x, rx, y, ry
+            x, rx = y, ry
+        if comp.kind == LOOP:
+            y, ry = ps[0]
+            yield ci, n - 1, 0, x, rx, y, ry
 
 
-def _other_slot(d: Diagram, crossing: int, not_slot: tuple[int, int]) -> tuple[int, int]:
-    for s in d.slot_index().get(crossing, ()):
-        if s != not_slot:
-            return s
-    raise DiagramError(f"crossing {crossing} has no second passage")
+def _partner(index: dict, cid: int, ci: int, pos: int) -> tuple[int, int]:
+    """The slot in ``index`` of crossing cid's passage other than (ci, pos)."""
+    first, second = index[cid]
+    return second if first[0] == ci and first[1] == pos else first
 
 
 def _neighbor(comp: Component, pos: int, step: int) -> int | None:
@@ -124,51 +128,17 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 # site of the R2 scan (its round walk asks the scan's own ``_bigon``) and of
 # ``find_f_moves`` and finds the R1 scan's sites in its kink pass (it never
 # applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a site
-# the scan does not yield.
+# the scan does not yield.  Every scan reads the adjacent pairs from
+# ``_pair_walk`` and a crossing's other passage from ``_partner``, except
+# ``simplify``'s round walk, which is faster with its own loop.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
     """(component index, a, crossing) for each kink, an adjacent pair
     (a, a + 1) holding both passages of one crossing, in scan order."""
-    for ci, comp in enumerate(d.components):
-        ps = comp.passages
-        prev = None
-        for b, (cid, _) in enumerate(ps):
-            if cid == prev:
-                yield ci, b - 1, cid
-            prev = cid
-        if comp.kind == LOOP and len(ps) > 1 and ps[0].crossing == prev:
-            yield ci, len(ps) - 1, prev
-
-
-def _same_role_pairs(d: Diagram) -> Iterator[tuple]:
-    """(component index, a, role, x, y, x's other slot, y's other slot) for
-    each adjacent pair (a, a + 1) holding same-role passages of two
-    opposite-sign crossings x then y, in scan order: the pairs at which the
-    commute search looks for a bigon."""
-    signs = d.crossings
-    index = None
-    for ci, comp in enumerate(d.components):
-        ps = comp.passages
-        n = len(ps)
-        if n < 2:
-            continue
-        x, rx = ps[0]
-        a = 0
-        for y, ry in ps[1:] + ps[:1] if comp.kind == LOOP else ps[1:]:
-            if rx == ry and x != y and signs[x] != signs[y]:
-                if index is None:
-                    index = d.slot_index()
-                b = a + 1 if a + 1 < n else 0
-                (xc, xp), x2 = index[x]
-                if xc == ci and xp == a:
-                    xc, xp = x2
-                (yc, yp), y2 = index[y]
-                if yc == ci and yp == b:
-                    yc, yp = y2
-                yield ci, a, rx, x, y, (xc, xp), (yc, yp)
-            x, rx = y, ry
-            a += 1
+    for ci, a, _, x, _, y, _ in _pair_walk(d):
+        if x == y:
+            yield ci, a, x
 
 
 def _bigon(d: Diagram, ci: int, a: int, b: int, x: int, y: int) -> bool:
@@ -181,30 +151,26 @@ def _bigon(d: Diagram, ci: int, a: int, b: int, x: int, y: int) -> bool:
     if x == y or signs[x] == signs[y]:
         return False
     index = d.slot_index()
-    (xc, xp), x2 = index[x]
-    if xc == ci and xp == a:
-        xc, xp = x2
-    (yc, yp), y2 = index[y]
-    if yc == ci and yp == b:
-        yc, yp = y2
-    return xc == yc and _neighbor(d.components[yc], yp, +1) == xp
+    xc, xp = _partner(index, x, ci, a)
+    yc, yp = _partner(index, y, ci, b)
+    return xc == yc and (yp + 1 == xp or d.components[yc].kind == LOOP
+                         and yp + 1 == xp + len(d.components[yc].passages))
 
 
 def _r2_pairs(d: Diagram) -> Iterator[tuple[int, int, int, int]]:
     """(component index, a, x, y) for each bigon (see ``_bigon``), in scan
     order."""
-    for ci, comp in enumerate(d.components):
-        ps = comp.passages
-        for a, b in _adjacent_pairs(comp):
-            (x, rx), (y, ry) = ps[a], ps[b]
-            if rx == ry and _bigon(d, ci, a, b, x, y):
-                yield ci, a, x, y
+    for ci, a, b, x, rx, y, ry in _pair_walk(d):
+        if rx == ry and _bigon(d, ci, a, b, x, y):
+            yield ci, a, x, y
 
 
 def _round_walk(d: Diagram) -> tuple[bool, tuple | None, bool]:
     """(whether some adjacent pair is a kink, the R2 scan's first site or
     None, whether some adjacent pair is over-over), from one walk over each
-    component's adjacent pairs, a loop's wrap pair included."""
+    component's adjacent pairs, a loop's wrap pair included.  It runs every
+    ``simplify`` round, and reading ``_pair_walk`` made the engine's passes
+    2-7 % slower, so it keeps its own loop."""
     kink = over_pair = False
     bigon = None
     for ci, comp in enumerate(d.components):
@@ -229,11 +195,9 @@ def _round_walk(d: Diagram) -> tuple[bool, tuple | None, bool]:
 def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
     """(component index, a, b) for each adjacent pair of over-passages, in
     scan order."""
-    for ci, comp in enumerate(d.components):
-        ps = comp.passages
-        for a, b in _adjacent_pairs(comp):
-            if ps[a].role == OVER and ps[b].role == OVER:
-                yield ci, a, b
+    for ci, a, b, _, rx, _, ry in _pair_walk(d):
+        if rx == ry == OVER:
+            yield ci, a, b
 
 
 def _r3_sites(d: Diagram) -> Iterator[tuple[int, int, tuple]]:
@@ -258,6 +222,7 @@ def _r3_sites(d: Diagram) -> Iterator[tuple[int, int, tuple]]:
     """
     comps = d.components
     signs = d.crossings
+    index = d.slot_index()
 
     def flanks(slot: tuple[int, int], sign: int, over_when_same: bool):
         """(slot, crossing) of each passage flanking a partner's ``slot``
@@ -271,12 +236,12 @@ def _r3_sites(d: Diagram) -> Iterator[tuple[int, int, tuple]]:
                 if (role == OVER) == (same if over_when_same else not same):
                     yield (pci, q), cid
 
-    def triangle(ci: int, a: int, b: int) -> tuple | None:
-        (x, rho), (y, ry) = comps[ci].passages[a], comps[ci].passages[b]
+    def triangle(ci: int, a: int, b: int, x: int, rho: str, y: int,
+                 ry: str) -> tuple | None:
         if x == y or ry != rho:
             return None
-        sx = _other_slot(d, x, (ci, a))
-        sy = _other_slot(d, y, (ci, b))
+        sx = _partner(index, x, ci, a)
+        sy = _partner(index, y, ci, b)
         want_z_sign = signs[x] * signs[y] * (1 if rho == OVER else -1)
         for zx_slot, zx in flanks(sx, signs[x], over_when_same=True):
             for zy_slot, zy in flanks(sy, signs[y], over_when_same=False):
@@ -287,11 +252,10 @@ def _r3_sites(d: Diagram) -> Iterator[tuple[int, int, tuple]]:
                     return (ci, a, b), (*sx, zx_slot[1]), (*sy, zy_slot[1])
         return None
 
-    for ci, comp in enumerate(comps):
-        for a, b in _adjacent_pairs(comp):
-            swaps = triangle(ci, a, b)
-            if swaps is not None:
-                yield ci, a, swaps
+    for site in _pair_walk(d):
+        swaps = triangle(*site)
+        if swaps is not None:
+            yield site[0], site[1], swaps
 
 
 def _site_at(scan, d: Diagram, at: tuple[str, int]) -> tuple:
@@ -451,20 +415,21 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
                 cid, role = ps[q]
                 if role == OVER:
                     continue  # an all-over loop
-                (oc, op), other = index[cid]
-                if oc == ci and op == q:
-                    oc, op = other
+                oc, op = _partner(index, cid, ci, q)
                 if oc == ci and comp_runs.get(op) is run:
                     kinks.append(cid)
     if kinks:
         return R1, (min(kinks),)
 
     # bigons: adjacent under-pair, opposite signs, over-partners in one run
-    for _, _, role, f, s, (fc, fp), (sc, sp) in _same_role_pairs(d):
-        if role == UNDER and fc == sc:
+    signs = d.crossings
+    for ci, a, b, x, rx, y, ry in _pair_walk(d):
+        if rx == ry == UNDER and x != y and signs[x] != signs[y]:
+            fc, fp = _partner(index, x, ci, a)
+            sc, sp = _partner(index, y, ci, b)
             run = runs[fc].get(fp)
-            if run is not None and runs[fc].get(sp) is run:
-                return R2, (f, s)
+            if fc == sc and run is not None and runs[fc].get(sp) is run:
+                return R2, (x, y)
 
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:

@@ -28,10 +28,10 @@ from twinskein.moves import (
     WELDED_COMMUTE,
     MoveError,
     MoveEvent,
-    _adjacent_pairs,
     _commuted_reduction,
     _drop_crossings,
-    _other_slot,
+    _pair_walk,
+    _partner,
     _r1_pairs,
     _r2_pairs,
     _round_walk,
@@ -54,6 +54,25 @@ from twinskein.moves import (
 from twinskein.skein import evaluate, switch_crossing
 
 STD = "twin { arc A: ; arc B: ; }"
+
+
+def _adjacent_pairs(comp: Component) -> list[tuple[int, int]]:
+    """The component's adjacent position pairs (a, a + 1) in order; a loop
+    of two or more passages wraps with (n - 1, 0)."""
+    n = len(comp.passages)
+    if comp.is_loop:
+        return [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _other_slot(d: Diagram, crossing: int,
+                not_slot: tuple[int, int]) -> tuple[int, int]:
+    """The slot of ``crossing`` other than ``not_slot``, found by a search
+    of its slots."""
+    for s in d.slot_index().get(crossing, ()):
+        if s != not_slot:
+            return s
+    raise AssertionError(f"crossing {crossing} has no second passage")
 
 
 class TestR1:
@@ -670,6 +689,85 @@ class TestCommuteSearchAgainstReference:
         asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams])
         enabled = {_witness(d) for d in asked}
         assert enabled == {None, R1, R2, F_MOVE}
+
+
+def _reference_pair_walk(d: Diagram) -> list[tuple]:
+    """(ci, a, b, x, rx, y, ry) for each pair of the reference pair list."""
+    return [(ci, a, b, *comp.passages[a], *comp.passages[b])
+            for ci, comp in enumerate(d.components)
+            for a, b in _adjacent_pairs(comp)]
+
+
+def _walk_without_wrap(d: Diagram):
+    """A broken pair walk that drops every loop's wrap pair."""
+    return (site for site in _pair_walk(d) if site[2] != 0)
+
+
+def _walk_wrapping_one_passage_loops(d: Diagram):
+    """A broken pair walk that pairs a one-passage loop's passage with
+    itself."""
+    for ci, comp in enumerate(d.components):
+        if comp.is_loop and len(comp.passages) == 1:
+            x, rx = comp.passages[0]
+            yield ci, 0, 0, x, rx, x, rx
+        yield from (site for site in _pair_walk(d) if site[0] == ci)
+
+
+class TestPairWalk:
+    """The one pair walk under the move scans, and the partner lookup,
+    against the reference pair list and slot search."""
+
+    #: (text, every pair the walk yields)
+    EDGES = [
+        # one-passage loops and a one-passage arc have no pair
+        ("twin { arc A: O1+ O2+ ; arc B: ; loop S: U1+ ; loop T: U2+ ; }",
+         [(0, 0, 1, 1, OVER, 2, OVER)]),
+        # a two-passage loop has both (0, 1) and its wrap pair (1, 0)
+        ("twin { arc A: ; arc B: ; loop T: O1+ U1+ ; }",
+         [(2, 0, 1, 1, OVER, 1, UNDER), (2, 1, 0, 1, UNDER, 1, OVER)]),
+        ("twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; }",
+         [(0, 0, 1, 1, OVER, 2, OVER), (2, 0, 1, 2, UNDER, 1, UNDER),
+          (2, 1, 0, 1, UNDER, 2, UNDER)]),
+        # a two-passage arc has no wrap pair
+        ("knot { arc K: O1+ U1+ ; }", [(0, 0, 1, 1, OVER, 1, UNDER)]),
+        # empty arcs and an empty loop
+        ("twin { arc A: ; arc B: ; }", []),
+        ("twin { arc A: ; arc B: ; loop T: ; }", []),
+    ]
+
+    @staticmethod
+    def _mismatches(walk, diagrams) -> int:
+        return sum(list(walk(d)) != _reference_pair_walk(d) for d in diagrams)
+
+    @staticmethod
+    def _seeded(rng) -> list[Diagram]:
+        return [_random_with_empty_loops(rng, i) for i in range(2000)]
+
+    @pytest.mark.parametrize("text, pairs", EDGES)
+    def test_edge_cases(self, text, pairs):
+        d = parse(text)
+        assert list(_pair_walk(d)) == _reference_pair_walk(d) == pairs
+
+    def test_seeded_diagrams_in_both_modes(self, rng):
+        diagrams = self._seeded(rng)
+        assert {d.mode for d in diagrams} == {TWIN, TWO_KNOT}
+        assert self._mismatches(_pair_walk, diagrams) == 0
+
+    def test_partner_is_the_other_slot(self, rng):
+        checked = 0
+        for d in _fixtures() + self._seeded(rng):
+            index = d.slot_index()
+            for ci, comp in enumerate(d.components):
+                for pos, (cid, _) in enumerate(comp.passages):
+                    assert _partner(index, cid, ci, pos) == \
+                        _other_slot(d, cid, (ci, pos)), serialize(d)
+                    checked += 1
+        assert checked > 10000
+
+    @pytest.mark.parametrize("broken", [_walk_without_wrap,
+                                        _walk_wrapping_one_passage_loops])
+    def test_the_check_catches_a_broken_walk(self, rng, broken):
+        assert self._mismatches(broken, self._seeded(rng)) > 0
 
 
 def _reference_over_pair(d: Diagram) -> bool:

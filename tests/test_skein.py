@@ -830,6 +830,21 @@ class TestProperties:
             assert plus.value - minus.value == SKEIN_MULTIPLIER * sm.value
             checked += 1
 
+    def test_skein_identity_at_negative_root_crossings(self):
+        # the unknot-pair twin's root: the engine switches crossing 3, and
+        # crossing 2 is negative too; at a negative crossing
+        # whole - switched = -m * smoothed
+        d = _fixture_diagrams()[3]
+        assert choose_crossing(d) == 3
+        whole = evaluate(d).value
+        for c in (2, 3):
+            assert c in eligible_crossings(d) and d.crossings[c] == -1
+            sw = evaluate(switch_crossing(d, c))
+            sm = evaluate(smooth_crossing(d, c))
+            assert sw.value == LaurentPoly.one()
+            assert whole - sw.value == -(SKEIN_MULTIPLIER * sm.value)
+            assert whole - sw.value != SKEIN_MULTIPLIER * sm.value
+
     def test_move_invariance(self, rng):
         checked = 0
         while checked < 30:
