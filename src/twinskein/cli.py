@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spin)
 
     p = sub.add_parser("corpus", help="run the bundled acceptance corpus")
-    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.set_defaults(fn=cmd_corpus)
 
     return ap

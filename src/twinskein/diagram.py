@@ -73,9 +73,6 @@ class Passage(NamedTuple):
     crossing: int
     role: str  # OVER or UNDER
 
-    def token(self, sign: int) -> str:
-        return f"{self.role}{self.crossing}{'+' if sign > 0 else '-'}"
-
 
 class Component(NamedTuple):
     """An arc (open, read start to end) or a loop (cyclic, read modulo rotation)."""
@@ -344,7 +341,7 @@ def _refusal(text: str, tokens: list[str], i: int, message: str,
 
 
 # ---------------------------------------------------------------------------
-# normal form and serialization
+# serialization
 # ---------------------------------------------------------------------------
 
 
@@ -364,40 +361,27 @@ def surgery_text(surgery: tuple[int, int, int]) -> str:
     return f"({g}, {b}/{a})"
 
 
-def normalize(d: Diagram) -> Diagram:
-    """Put the components in walk order and renumber crossings 1..n in
-    first-appearance order."""
-    comps = tuple(walk_order(d))
-    renum: dict[int, int] = {}
-    for comp in comps:
-        for p in comp.passages:
-            if p.crossing not in renum:
-                renum[p.crossing] = len(renum) + 1
-    new_comps = tuple(
-        Component(c.kind, c.label,
-                  tuple(Passage(renum[p.crossing], p.role) for p in c.passages),
-                  c.surgery)
-        for c in comps)
-    new_crossings = {renum[cid]: s for cid, s in d.crossings.items() if cid in renum}
-    # Crossings with no passages cannot survive renumbering; drop them.
-    return Diagram(d.mode, new_comps, new_crossings)
-
-
 def serialize(d: Diagram) -> str:
-    """Deterministic single-line text of the normal form.  A crossing whose
-    sign is not +1 or -1 has no text, so it is refused."""
-    for cid, sign in sorted(d.crossings.items()):
+    """Deterministic single-line text: the components in walk order, the
+    crossings numbered 1, 2, ... as the walk first meets them, and one met
+    by no passage left out.  A sign other than +1 or -1 has no text, so it
+    is refused, as is a passage whose crossing the map lacks."""
+    signs = d.crossings
+    for cid, sign in sorted(signs.items()):
         if sign not in (1, -1):
             raise DiagramError(
                 f"crossing {cid} has sign {sign}; a sign is +1 or -1")
-    nd = normalize(d)
-    parts = [TWIN if nd.mode == TWIN else "knot", "{"]
-    for comp in nd.components:
-        kw = "loop" if comp.is_loop else "arc"
-        parts.append(kw)
+    number: dict[int, int] = {}
+    parts = [TWIN if d.mode == TWIN else "knot", "{"]
+    for comp in walk_order(d):
+        parts.append("loop" if comp.is_loop else "arc")
         parts.append(f"{comp.label}:")
-        for p in comp.passages:
-            parts.append(p.token(nd.crossings[p.crossing]))
+        for cid, role in comp.passages:
+            if cid not in signs:
+                raise DiagramError(f"passage references crossing {cid} "
+                                   f"absent from the crossing map")
+            n = number.setdefault(cid, len(number) + 1)
+            parts.append(f"{role}{n}{'+' if signs[cid] > 0 else '-'}")
         if comp.surgery is not None:
             parts.append(surgery_text(comp.surgery))
         parts.append(";")

@@ -17,10 +17,11 @@ class LaurentError(ValueError):
     pass
 
 
-# digits are ASCII only: \d would also match, say, an Arabic-Indic three
-_TERM_RE = re.compile(
-    r"^(?P<coeff>[0-9]+)?(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?[0-9]+))?)?$"
-)
+#: One term (see ``LaurentPoly.parse``); [0-9], since \d reads any digit
+_TERM = re.compile(
+    r"\s*(?P<plus>\+)?\s*(?P<minus>-)?\s*"
+    r"(?:(?P<coeff>[0-9]+)(?:\s*\*(?=\s*[A-Za-z]))?\s*)?"
+    r"(?:(?P<var>[A-Za-z])(?:\s*\^\s*(?P<neg>-)?\s*(?P<exp>[0-9]+))?)?")
 # whitespace inside a number: "1 1" is not 11
 _DIGIT_GAP_RE = re.compile(r"[0-9]\s+[0-9]")
 
@@ -184,57 +185,37 @@ class LaurentPoly:
         return " ".join(chunks)
 
     @classmethod
-    def parse(cls, text: str, var: str = "t") -> "LaurentPoly":
-        """Parse the canonical text form (tolerant of whitespace)."""
+    def parse(cls, text: str) -> "LaurentPoly":
+        """Read a sum of terms in t, in any order, like terms added up.  A
+        term is ``sign? coeff? ("*"? "t" ("^" "-"? digits)?)?`` with a
+        coefficient, t or both, and a ``*`` only between those two.  The
+        first sign is ``-`` or none, each later one ``+``, ``-`` or ``+ -``.
+        Whitespace may sit between parts and terms, never inside a number."""
         s = text.strip()
         if not s:
             raise LaurentError("empty polynomial text")
         if _DIGIT_GAP_RE.search(s):
             raise LaurentError(f"whitespace between digits in {text!r}")
-        if s == "0":
-            return cls.zero()
-        raw_terms: list[str] = []
-        cur = ""
-        prev = ""
-        for ch in s:
-            if ch in "+-" and cur.strip() and prev != "^":
-                raw_terms.append(cur)
-                cur = "" if ch == "+" else "-"
-            else:
-                cur += ch
-            if not ch.isspace():
-                prev = ch
-        raw_terms.append(cur)
         terms: dict[int, int] = {}
-        for raw in raw_terms:
-            tok = raw.strip().replace(" ", "")
-            if not tok:
-                raise LaurentError(f"malformed polynomial text: {text!r}")
-            sign = 1
-            if tok.startswith("-"):
-                sign = -1
-                tok = tok[1:]
-            tok = tok.replace("*", "")
-            m = _TERM_RE.match(tok)
-            if not m or (m.group("coeff") is None and m.group("var") is None):
-                raise LaurentError(f"bad term {raw.strip()!r} in {text!r}")
-            if m.group("var") is not None and m.group("var") != var:
-                raise LaurentError(
-                    f"unexpected variable {m.group('var')!r} (wanted {var!r})"
-                )
+        pos = 0
+        while pos < len(s):
+            m = _TERM.match(s, pos)
+            plus, minus, coeff, var, neg, exp = m.groups()
+            if (coeff is None and var is None
+                    or (plus if pos == 0 else not (plus or minus))):
+                raise LaurentError(f"bad term {s[pos:].strip()!r} in {text!r}")
+            if var not in (None, "t"):
+                raise LaurentError(f"unexpected variable {var!r} (wanted 't')")
             try:
-                coeff = int(m.group("coeff")) if m.group("coeff") else 1
-                if m.group("var") is None:
-                    exp = 0
-                elif m.group("exp") is None:
-                    exp = 1
-                else:
-                    exp = int(m.group("exp"))
+                c = int(coeff) if coeff else 1
+                e = int(exp) if exp else int(var is not None)
             except ValueError:
                 # past the interpreter's limit on int-string conversion
                 raise LaurentError(f"number too long in term "
-                                   f"{raw.strip()[:12]!r}...") from None
-            terms[exp] = terms.get(exp, 0) + sign * coeff
+                                   f"{m[0].strip()[:12]!r}...") from None
+            e = -e if neg else e
+            terms[e] = terms.get(e, 0) + (-c if minus else c)
+            pos = m.end()
         return cls(terms)
 
     def __repr__(self) -> str:

@@ -82,8 +82,13 @@ def _pair_walk(d: Diagram) -> Iterator[tuple]:
 
 
 def _partner(index: dict, cid: int, ci: int, pos: int) -> tuple[int, int]:
-    """The slot in ``index`` of crossing cid's passage other than (ci, pos)."""
-    first, second = index[cid]
+    """The slot in ``index`` of crossing cid's passage other than (ci, pos);
+    a DiagramError where cid does not have exactly two passages."""
+    try:
+        first, second = index[cid]
+    except ValueError:
+        raise DiagramError(f"crossing {cid} must have two passages "
+                           f"(found {len(index[cid])})") from None
     return second if first[0] == ci and first[1] == pos else first
 
 
@@ -444,7 +449,7 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
 
         slides = []
         for p1, (cid, _) in enumerate(comps[c1].passages):
-            _, (ci, p2) = index[cid]  # slots in scan order: c1 comes first
+            ci, p2 = _partner(index, cid, c1, p1)
             if ci == c2 and any(reaches(c1, p1, t1) and reaches(c2, p2, t2)
                                 for t1, t2 in ends):
                 slides.append(cid)

@@ -15,10 +15,10 @@ from twinskein.diagram import (
     Passage,
     TWIN,
     TWIN_ARC,
+    TWO_KNOT,
     UNDER,
     classify_crossing,
     met_once,
-    normalize,
     parse,
     random_diagram,
     reverse_component,
@@ -29,6 +29,59 @@ from twinskein.moves import CanonicalForm
 from twinskein.skein import TraceNode
 
 STD = "twin { arc A: ; arc B: ; }"
+
+
+def reference_normalize(d: Diagram) -> Diagram:
+    """``normalize`` as ``serialize`` used it before the one-pass writer:
+    the components in walk order, the crossings renumbered 1..n in
+    first-appearance order, a crossing with no passage dropped."""
+    comps = tuple(sorted(d.components, key=lambda c: (c.is_loop, c.label)))
+    renum: dict[int, int] = {}
+    for comp in comps:
+        for p in comp.passages:
+            renum.setdefault(p.crossing, len(renum) + 1)
+    return Diagram(d.mode, tuple(
+        Component(c.kind, c.label,
+                  tuple(Passage(renum[p.crossing], p.role) for p in c.passages),
+                  c.surgery)
+        for c in comps), {renum[cid]: sign for cid, sign in d.crossings.items()
+                          if cid in renum})
+
+
+def reference_serialize(d: Diagram) -> str:
+    """``serialize`` as it was before the one-pass writer: it built the
+    whole ``reference_normalize`` diagram, then wrote each passage's token."""
+    nd = reference_normalize(d)
+    parts = ["twin" if nd.mode == TWIN else "knot", "{"]
+    for comp in nd.components:
+        parts += ["loop" if comp.is_loop else "arc", f"{comp.label}:"]
+        for p in comp.passages:
+            sign = nd.crossings[p.crossing]
+            parts.append(f"{p.role}{p.crossing}{'+' if sign > 0 else '-'}")
+        if comp.surgery is not None:
+            g, b, a = comp.surgery
+            parts.append(f"({g}, {b}/{a})")
+        parts.append(";")
+    parts.append("}")
+    return " ".join(parts)
+
+
+def scrambled(rng, d: Diagram) -> Diagram:
+    """The diagram with its crossings renumbered at random below 10**6,
+    a random surgery label on about half its loops, and its components
+    shuffled."""
+    ids = dict(zip(d.crossings, rng.sample(range(1, 10 ** 6 + 1),
+                                           len(d.crossings))))
+    comps = [Component(c.kind, c.label,
+                       tuple(Passage(ids[p.crossing], p.role)
+                             for p in c.passages),
+                       (rng.randint(-3, 3), rng.randint(-5, 5),
+                        rng.randint(1, 4))
+                       if c.is_loop and rng.random() < 0.5 else None)
+             for c in d.components]
+    rng.shuffle(comps)
+    return Diagram(d.mode, tuple(comps),
+                   {ids[cid]: sign for cid, sign in d.crossings.items()})
 
 
 def codes(d: Diagram) -> list[str]:
@@ -200,6 +253,24 @@ class TestSerialize:
         text = "twin { arc A: ; arc B: ; loop T: (0, 0/1) ; }"
         assert serialize(parse(text)) == text
 
+    def test_agrees_with_the_reference_writer(self, rng):
+        for _ in range(2000):
+            d = scrambled(rng, random_diagram(
+                rng, max_crossings=rng.randint(0, 8),
+                mode=rng.choice((TWIN, TWO_KNOT)), n_loops=rng.randint(0, 4),
+                two_arcs=rng.random() < 0.5))
+            text = serialize(d)
+            assert text == reference_serialize(d)
+            assert parse(text, strict=False) == reference_normalize(d)
+
+    def test_passage_without_a_crossing_is_refused(self):
+        d = Diagram(TWIN, (Component(TWIN_ARC, "A", (Passage(1, OVER),
+                                                     Passage(1, UNDER))),
+                           Component(TWIN_ARC, "B")), {})
+        with pytest.raises(DiagramError, match=r"^passage references "
+                           r"crossing 1 absent from the crossing map$"):
+            serialize(d)
+
     def test_sign_other_than_one_is_refused(self):
         # the sign-0 crossing of a non-strict parse used to be written as -,
         # which reads back as a valid diagram nobody wrote
@@ -291,12 +362,7 @@ class TestClassify:
             comp = rng.choice(d.components)
             rev = reverse_component(d, comp.label)
             assert cats == {c: classify_crossing(rev, c) for c in rev.crossings}
-            nd = normalize(d)
-            # normalize renumbers in first-appearance order; recompute the map
-            renum = {}
-            for c in nd.components:
-                for p in c.passages:
-                    renum.setdefault(p.crossing, p.crossing)
+            nd = parse(serialize(d))
             assert sorted(cats.values()) == sorted(
                 classify_crossing(nd, c) for c in nd.crossings)
 

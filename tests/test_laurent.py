@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +166,98 @@ class TestRendering:
         # int() reads any decimal digit; the polynomial text has ASCII ones
         with pytest.raises(LaurentError, match="bad term"):
             LaurentPoly.parse(text)
+
+
+_REFERENCE_TERM = re.compile(
+    r"^(?P<coeff>[0-9]+)?(?:(?P<var>[A-Za-z])(?:\^(?P<exp>-?[0-9]+))?)?$")
+_REFERENCE_GAP = re.compile(r"[0-9]\s+[0-9]")
+
+
+def reference_parse(text: str) -> LaurentPoly:
+    """``LaurentPoly.parse`` as it was before the one term pattern: a
+    character walk splits the terms, then each term loses every space and
+    every ``*`` before it is matched, so ``2 * 3`` reads as 23."""
+    s = text.strip()
+    if not s:
+        raise LaurentError("empty polynomial text")
+    if _REFERENCE_GAP.search(s):
+        raise LaurentError(f"whitespace between digits in {text!r}")
+    raw_terms: list[str] = []
+    cur = prev = ""
+    for ch in s:
+        if ch in "+-" and cur.strip() and prev != "^":
+            raw_terms.append(cur)
+            cur = "" if ch == "+" else "-"
+        else:
+            cur += ch
+        if not ch.isspace():
+            prev = ch
+    raw_terms.append(cur)
+    terms: dict[int, int] = {}
+    for raw in raw_terms:
+        tok = raw.strip().replace(" ", "")
+        if not tok:
+            raise LaurentError(f"malformed polynomial text: {text!r}")
+        sign = 1
+        if tok.startswith("-"):
+            sign, tok = -1, tok[1:]
+        m = _REFERENCE_TERM.match(tok.replace("*", ""))
+        if not m or (m["coeff"] is None and m["var"] is None) or (
+                m["var"] not in (None, "t")):
+            raise LaurentError(f"bad term {raw.strip()!r} in {text!r}")
+        coeff = int(m["coeff"]) if m["coeff"] else 1
+        exp = 0 if m["var"] is None else int(m["exp"]) if m["exp"] else 1
+        terms[exp] = terms.get(exp, 0) + sign * coeff
+    return LaurentPoly(terms)
+
+
+def _stray_star(text: str) -> bool:
+    """Whether some ``*`` in the text is not between a digit and a letter,
+    spaces aside."""
+    return any(ch == "*" and not (text[:i].rstrip(" ")[-1:].isdigit()
+                                  and text[i + 1:].lstrip(" ")[:1].isalpha())
+               for i, ch in enumerate(text))
+
+
+def _outcome(read, text: str):
+    try:
+        return read(text)
+    except LaurentError:
+        return LaurentError
+
+
+class TestTermPattern:
+    def test_agrees_with_the_reference_reader(self):
+        # every string of length 1 to 5 over the reader's alphabet: the
+        # reference's value or refusal, except that a stray '*' is refused
+        strings = stray = 0
+        for n in range(1, 6):
+            for chars in itertools.product(" 12tx^+-*", repeat=n):
+                text = "".join(chars)
+                strings += 1
+                got = _outcome(LaurentPoly.parse, text)
+                if _stray_star(text):
+                    stray += 1
+                    assert got is LaurentError, text
+                else:
+                    assert got == _outcome(reference_parse, text), text
+        assert strings == 66_429
+        assert 0 < stray < strings
+
+    @pytest.mark.parametrize("text", ["2*3", "2 * 3", "1*1", "2*3t", "*t",
+                                      "t*", "2**t", "t^2*", "2*"])
+    def test_refuses_a_star_not_between_coefficient_and_variable(self, text):
+        with pytest.raises(LaurentError, match="bad term"):
+            LaurentPoly.parse(text)
+
+    @pytest.mark.parametrize("text,terms", [
+        ("2*t", {1: 2}),
+        ("2 * t", {1: 2}),
+        ("- 2*t^-1", {-1: -2}),
+        ("1 +- t", {0: 1, 1: -1}),
+    ])
+    def test_accepts(self, text, terms):
+        assert LaurentPoly.parse(text) == P(terms)
 
 
 terms_st = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)

@@ -13,8 +13,8 @@ from twinskein.diagram import (
     UNDER,
     Component,
     Diagram,
+    DiagramError,
     classify_crossing,
-    normalize,
     parse,
     random_diagram,
     reverse_component,
@@ -764,6 +764,23 @@ class TestPairWalk:
                     checked += 1
         assert checked > 10000
 
+    #: an unvalidated diagram whose crossing 1 is met once
+    MET_ONCE = "twin { arc A: O1+ O2- U3+ ; arc B: U2- O3+ ; }"
+
+    @pytest.mark.parametrize("scan", [find_r2_moves, find_r3_moves, simplify])
+    def test_a_crossing_met_once_is_a_diagram_error(self, scan):
+        d = parse(self.MET_ONCE, strict=False)
+        with pytest.raises(DiagramError, match=r"^crossing 1 must have two "
+                                               r"passages \(found 1\)$"):
+            scan(d)
+
+    def test_the_endpoint_search_names_a_crossing_met_once(self):
+        # no kink or bigon search reads crossing 1's partner here
+        d = parse("twin { arc A: O1+ ; arc B: ; }", strict=False)
+        with pytest.raises(DiagramError, match=r"^crossing 1 must have two "
+                                               r"passages \(found 1\)$"):
+            _commuted_reduction(d)
+
     @pytest.mark.parametrize("broken", [_walk_without_wrap,
                                         _walk_wrapping_one_passage_loops])
     def test_the_check_catches_a_broken_walk(self, rng, broken):
@@ -937,7 +954,7 @@ class TestCanonicalize:
 
     def test_relabeling_invariance(self):
         d1 = parse("twin { arc A: O7+ U9- ; arc B: ; loop T: U7+ O9- ; }")
-        d2 = normalize(d1)
+        d2 = parse(serialize(d1))
         assert canonicalize(d1) == canonicalize(d2)
 
     def test_loop_rotation_invariance(self):
@@ -954,7 +971,7 @@ class TestCanonicalize:
         for _ in range(25):
             d = random_diagram(rng, max_crossings=4, n_loops=1)
             cf = canonicalize(d)
-            assert cf == canonicalize(normalize(d))
+            assert cf == canonicalize(parse(serialize(d)))
             for loop in d.loops():
                 rev = canonicalize(reverse_component(d, loop.label))
                 assert rev.key == cf.key

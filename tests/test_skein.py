@@ -583,7 +583,8 @@ def _reference_walk_order(d: Diagram):
 
 
 def _normal_form_order(d: Diagram):
-    """The component order ``normalize`` sorted by before ``walk_order``."""
+    """The component order that ``serialize``'s normal form sorted by
+    before ``walk_order``: the arcs, then the loops, each by label."""
     rank = {TWIN_ARC: 0, KNOT_ARC: 0, LOOP: 1}
     return sorted(d.components, key=lambda c: (rank[c.kind], c.label))
 
