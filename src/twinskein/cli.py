@@ -66,21 +66,21 @@ def cmd_invariant(args) -> int:
     t0 = time.perf_counter()
     result = evaluate(d, cfg)
     elapsed = (time.perf_counter() - t0) * 1000
-    # render everything first: a value too long to print prints nothing
+    # render everything and write the trace file first: a value too long
+    # to print, or a trace file that cannot be written, prints nothing
     value = (result.value.render() if result.resolved
              else f"unresolved: {result.unresolved_reason}")
     text = export_trace(result, args.trace) if args.trace is not None else None
+    if args.trace_out:  # refused without --trace, so text is set
+        with open(args.trace_out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     stats = result.stats
     print(f"stats: nodes={stats.nodes_expanded} memo_hits={stats.memo_hits} "
           f"max_depth={stats.max_depth} elapsed_ms={elapsed:.1f}",
           file=sys.stderr)
     print(value)
-    if text is not None:
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
-        else:
-            print(text)
+    if text is not None and not args.trace_out:
+        print(text)
     return EXIT_OK if result.resolved else EXIT_DOMAIN
 
 

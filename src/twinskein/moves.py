@@ -133,9 +133,10 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 # site of the R2 scan (its round walk asks the scan's own ``_bigon``) and of
 # ``find_f_moves`` and finds the R1 scan's sites in its kink pass (it never
 # applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a site
-# the scan does not yield.  Every scan reads the adjacent pairs from
-# ``_pair_walk`` and a crossing's other passage from ``_partner``, except
-# ``simplify``'s round walk, which is faster with its own loop.
+# the scan does not yield.  Every scan, and the commute search's one pass
+# for kinks and bigons, reads the adjacent pairs from ``_pair_walk`` and a
+# crossing's other passage from ``_partner``; ``simplify``'s round walk is
+# the only scan with its own loop, which is faster there.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -383,58 +384,46 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     crossings); None when there is none.  Asked only when no R1, R2 or F
     move is enabled as the diagram stands, and by ``simplify`` only when
     some adjacent pair is over-over: with none, every over-run is a single
-    passage, so the three searches below can find only a plain kink, bigon
-    or endpoint move, which the caller has already ruled out.
+    passage, so the searches below can find only a plain kink, bigon or
+    endpoint move, which the caller has already ruled out.
 
     Over-passages permute freely inside a maximal over-run and runs never
     merge, so reachability is decided exactly: a kink needs its over-passage
     in the run bordering its under-passage; a bigon needs an adjacent
     under-pair of opposite signs whose over-partners share a run; an
-    endpoint slide needs both passages able to reach the same marker.
-    Walking an over-passage through its run and then deleting it leaves
-    the run's other passages in their order, so the reduction is made by
-    dropping its crossings where they stand: the commutes themselves are
-    never applied, and a loop's text may start elsewhere than after them.
-    The kink and slide searches keep the least crossing id among all they
-    find, as a search in crossing order would.
+    endpoint slide needs both passages able to reach the same marker.  The
+    passages that border a run are the under-passages of the mixed pairs
+    whose over-passage lies in it, so one ``_pair_walk`` pass finds every
+    kink and bigon.  Walking an over-passage through its run and then
+    deleting it leaves the run's other passages in their order, so the
+    reduction is made by dropping its crossings where they stand: the
+    commutes themselves are never applied, and a loop's text may start
+    elsewhere than after them.  The kink and slide searches keep the least
+    crossing id among all they find, as a search in crossing order would;
+    the bigon search keeps the first in scan order.
     """
     comps = d.components
     runs = [_over_runs(c) for c in comps]
     index = d.slot_index()
-
-    # kinks: U_c borders the run that holds O_c
-    kinks = []
-    for ci, comp in enumerate(comps):
-        ps = comp.passages
-        n = len(ps)
-        loop = comp.kind == LOOP
-        comp_runs = runs[ci]
-        for pos, run in comp_runs.items():
-            if pos != run[0]:
-                continue  # each run once
-            for q in (run[-1] + 1, run[0] - 1):
-                if loop:
-                    q %= n
-                elif not 0 <= q < n:
-                    continue
-                cid, role = ps[q]
-                if role == OVER:
-                    continue  # an all-over loop
-                oc, op = _partner(index, cid, ci, q)
-                if oc == ci and comp_runs.get(op) is run:
-                    kinks.append(cid)
-    if kinks:
-        return R1, (min(kinks),)
-
-    # bigons: adjacent under-pair, opposite signs, over-partners in one run
     signs = d.crossings
+    kinks, bigon = [], None
     for ci, a, b, x, rx, y, ry in _pair_walk(d):
-        if rx == ry == UNDER and x != y and signs[x] != signs[y]:
+        if rx != ry:
+            cid, pos, run = ((y, b, runs[ci][a]) if rx == OVER
+                             else (x, a, runs[ci][b]))
+            oc, op = _partner(index, cid, ci, pos)
+            if oc == ci and runs[ci].get(op) is run:
+                kinks.append(cid)
+        elif rx == UNDER and bigon is None and signs[x] != signs[y]:
             fc, fp = _partner(index, x, ci, a)
             sc, sp = _partner(index, y, ci, b)
             run = runs[fc].get(fp)
             if fc == sc and run is not None and runs[fc].get(sp) is run:
-                return R2, (x, y)
+                bigon = x, y
+    if kinks:
+        return R1, (min(kinks),)
+    if bigon is not None:
+        return R2, bigon
 
     # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:

@@ -203,6 +203,7 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
             f"crossing {crossing} is {kind}; only arc-self and arc-loop "
             f"crossings can be smoothed")
     slots = d.slot_index()[crossing]
+    signs = {c: s for c, s in d.crossings.items() if c != crossing}
 
     if kind == ARC_SELF:
         (ci, i), (_, j) = slots  # in scan order, so i < j
@@ -214,7 +215,6 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
                              DEFAULT_SURGERY)
         comps = (d.components[:ci] + (new_arc,) + d.components[ci + 1:]
                  + (new_loop,))
-        signs = {c: s for c, s in d.crossings.items() if c != crossing}
         return Diagram(d.mode, comps, signs)
 
     (c1, p1), (c2, p2) = slots
@@ -231,7 +231,6 @@ def smooth_crossing(d: Diagram, crossing: int) -> Diagram:
     comps = tuple(
         new_arc if idx == aci else c
         for idx, c in enumerate(d.components) if idx != lci)
-    signs = {c: s for c, s in d.crossings.items() if c != crossing}
     return Diagram(d.mode, comps, signs)
 
 

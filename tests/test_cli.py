@@ -430,6 +430,21 @@ def test_usage_shows_that_one_source_is_required(capsys, command):
         f"usage: twinskein {command} [-h] (PATH | --knot NAME)")
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariant", f"{FIX}/tw_std.twin", "--trace", "json", "--trace-out"),
+    ("spin", "--knot", "3_1", "--out"),
+])
+@pytest.mark.parametrize("target", ["missing/t.out", "."])
+def test_an_unwritable_output_file_prints_nothing(capsys, tmp_path, argv,
+                                                  target):
+    # a missing directory, or a directory as the path
+    code, out, err = run(capsys, *argv, str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: [Errno ")
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     src = str(Path(twinskein.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

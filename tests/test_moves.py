@@ -3,6 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from twinskein import moves
+from twinskein.constructions import artin_spin, table_knot, table_names
 from twinskein.diagram import (
     DEFAULT_SURGERY,
     LOOP,
@@ -30,6 +31,7 @@ from twinskein.moves import (
     MoveEvent,
     _commuted_reduction,
     _drop_crossings,
+    _over_runs,
     _pair_walk,
     _partner,
     _r1_pairs,
@@ -689,6 +691,84 @@ class TestCommuteSearchAgainstReference:
         asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams])
         enabled = {_witness(d) for d in asked}
         assert enabled == {None, R1, R2, F_MOVE}
+
+
+def reference_commuted_reduction(d: Diagram) -> tuple | None:
+    """``_commuted_reduction`` as three searches: the kinks read from the
+    passages that flank each over-run, with their own wrap arithmetic, then
+    a walk for the first bigon, then the endpoint slides."""
+    comps = d.components
+    runs = [_over_runs(c) for c in comps]
+    index = d.slot_index()
+
+    kinks = []
+    for ci, comp in enumerate(comps):
+        ps = comp.passages
+        n = len(ps)
+        loop = comp.kind == LOOP
+        comp_runs = runs[ci]
+        for pos, run in comp_runs.items():
+            if pos != run[0]:
+                continue  # each run once
+            for q in (run[-1] + 1, run[0] - 1):
+                if loop:
+                    q %= n
+                elif not 0 <= q < n:
+                    continue
+                cid, role = ps[q]
+                if role == OVER:
+                    continue  # an all-over loop
+                oc, op = _partner(index, cid, ci, q)
+                if oc == ci and comp_runs.get(op) is run:
+                    kinks.append(cid)
+    if kinks:
+        return R1, (min(kinks),)
+
+    signs = d.crossings
+    for ci, a, b, x, rx, y, ry in _pair_walk(d):
+        if rx == ry == UNDER and x != y and signs[x] != signs[y]:
+            fc, fp = _partner(index, x, ci, a)
+            sc, sp = _partner(index, y, ci, b)
+            run = runs[fc].get(fp)
+            if fc == sc and run is not None and runs[fc].get(sp) is run:
+                return R2, (x, y)
+
+    if d.mode == TWIN:
+        c1, c2 = (ci for ci, c in enumerate(comps) if c.kind == TWIN_ARC)
+        ends = ((0, 0), (len(comps[c1].passages) - 1,
+                         len(comps[c2].passages) - 1))
+
+        def reaches(ci: int, pos: int, target: int) -> bool:
+            run = runs[ci].get(pos)
+            return pos == target or (run is not None
+                                     and runs[ci].get(target) is run)
+
+        slides = []
+        for p1, (cid, _) in enumerate(comps[c1].passages):
+            ci, p2 = _partner(index, cid, c1, p1)
+            if ci == c2 and any(reaches(c1, p1, t1) and reaches(c2, p2, t2)
+                                for t1, t2 in ends):
+                slides.append(cid)
+        if slides:
+            return F_MOVE, (min(slides),)
+    return None
+
+
+class TestCommutedReductionAgainstReference:
+    """The one-walk kink and bigon search gives the flank search's result
+    on every diagram simplify asks about."""
+
+    def test_seeded_diagrams_and_spun_cuts(self, rng, monkeypatch):
+        diagrams = [_random_with_empty_loops(rng, i) for i in range(3000)]
+        spun = [artin_spin(code, cut)
+                for code in map(table_knot, table_names())
+                for cut in range(max(1, len(code.passages)))]
+        assert len(spun) == 163
+        asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams]
+                       + [evaluate(d) for d in spun])
+        found = [reference_commuted_reduction(d) for d in asked]
+        assert [_commuted_reduction(d) for d in asked] == found
+        assert {f and f[0] for f in found} == {None, R1, R2, F_MOVE}
 
 
 def _reference_pair_walk(d: Diagram) -> list[tuple]:
