@@ -92,6 +92,12 @@ def _partner(index: dict, cid: int, ci: int, pos: int) -> tuple[int, int]:
     return second if first[0] == ci and first[1] == pos else first
 
 
+def _arc_count_error(d: Diagram, found: int) -> DiagramError:
+    """The error for a diagram with ``found`` arcs, not its mode's count."""
+    want = "two arcs" if d.mode == TWIN else "one arc"
+    return DiagramError(f"a {d.mode} diagram must have {want} (found {found})")
+
+
 def _neighbor(comp: Component, pos: int, step: int) -> int | None:
     n = len(comp.passages)
     q = pos + step
@@ -130,13 +136,13 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 #
 # The one precondition of an R1, R2, R3 or commute move is its scan below,
 # and that of an F move is ``find_f_moves``: ``simplify`` takes the first
-# site of the R2 scan (its round walk asks the scan's own ``_bigon``) and of
-# ``find_f_moves`` and finds the R1 scan's sites in its kink pass (it never
-# applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a site
-# the scan does not yield.  Every scan, and the commute search's one pass
-# for kinks and bigons, reads the adjacent pairs from ``_pair_walk`` and a
-# crossing's other passage from ``_partner``; ``simplify``'s round walk is
-# the only scan with its own loop, which is faster there.
+# site of the R1 and R2 scans (its round walk meets their sites in scan
+# order and asks the R2 scan's own ``_bigon``) and of ``find_f_moves`` (it
+# never applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a
+# site the scan does not yield.  Every scan, and the commute search's one
+# pass for kinks and bigons, reads the adjacent pairs from ``_pair_walk``
+# and a crossing's other passage from ``_partner``; ``simplify``'s round
+# walk is the only scan with its own loop, which is faster there.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -171,13 +177,16 @@ def _r2_pairs(d: Diagram) -> Iterator[tuple[int, int, int, int]]:
             yield ci, a, x, y
 
 
-def _round_walk(d: Diagram) -> tuple[bool, tuple | None, bool]:
-    """(whether some adjacent pair is a kink, the R2 scan's first site or
-    None, whether some adjacent pair is over-over), from one walk over each
-    component's adjacent pairs, a loop's wrap pair included.  It runs every
-    ``simplify`` round, and reading ``_pair_walk`` made the engine's passes
-    2-7 % slower, so it keeps its own loop."""
-    kink = over_pair = False
+def _round_walk(d: Diagram) -> tuple[tuple | None, bool]:
+    """(first reduction, whether some adjacent pair is over-over), from one
+    walk over each component's adjacent pairs, a loop's wrap pair included.
+    The reduction is (R1, component index, a, (crossing,)) for the R1 scan's
+    first kink, where the walk stops; failing that (R2, component index, a,
+    (x, y)) for the R2 scan's first site; failing that None.  The over-over
+    verdict covers every pair unless the walk stopped at a kink.  It runs
+    every ``simplify`` round, and reading ``_pair_walk`` made the engine's
+    passes about 3 % slower, so it keeps its own loop."""
+    over_pair = False
     bigon = None
     for ci, comp in enumerate(d.components):
         ps = comp.passages
@@ -188,14 +197,14 @@ def _round_walk(d: Diagram) -> tuple[bool, tuple | None, bool]:
         for b, (y, ry) in enumerate(
                 ps[1:] + ps[:1] if comp.kind == LOOP else ps[1:], 1):
             if x == y:
-                kink = True
+                return (R1, ci, b - 1, (x,)), over_pair
             if rx == ry:
                 if rx == OVER:
                     over_pair = True
                 if bigon is None and _bigon(d, ci, b - 1, b % n, x, y):
-                    bigon = ci, b - 1, x, y
+                    bigon = R2, ci, b - 1, (x, y)
             x, rx = y, ry
-    return kink, bigon, over_pair
+    return bigon, over_pair
 
 
 def _commute_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -345,7 +354,10 @@ def find_f_moves(d: Diagram) -> list[int]:
     (at the negative one)."""
     if d.mode != TWIN:
         return []
-    a, b = (c.passages for c in d.components if c.kind == TWIN_ARC)
+    arcs = [c.passages for c in d.components if c.kind == TWIN_ARC]
+    if len(arcs) != 2:
+        raise _arc_count_error(d, len(arcs))
+    a, b = arcs
     if not (a and b):
         return []
     return sorted({p.crossing for p, q in ((a[0], b[0]), (a[-1], b[-1]))
@@ -447,90 +459,33 @@ def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
-def _drop_kinks(d: Diagram, events: list[MoveEvent]) -> Diagram:
-    """The diagram with every kink dropped, appending an R1 event for each
-    in the order that repeatedly taking the R1 scan's first site gives.
-
-    Dropping a kink moves no kink to another component and makes no two
-    passages of a kink-free stretch adjacent, so each component takes one
-    stack pass: a passage whose crossing is the stack top's cancels it, a
-    kink at position ``len(stack)`` once the top is popped.  A loop then
-    cancels across its wrap, at position ``len(stack) - 1``, while its
-    first and last passages share a crossing."""
-    comps = d.components
-    new_comps = None
-    dropped = []
-    for ci, comp in enumerate(comps):
-        ps = comp.passages
-        stack = []
-        for p in ps:
-            cid = p[0]
-            if stack and stack[-1][0] == cid:
-                stack.pop()
-                dropped.append(cid)
-                events.append(MoveEvent(R1, (cid,), (comp.label, len(stack))))
-            else:
-                stack.append(p)
-        if comp.kind == LOOP:
-            while len(stack) > 1 and stack[0][0] == stack[-1][0]:
-                cid = stack[0][0]
-                dropped.append(cid)
-                events.append(MoveEvent(R1, (cid,),
-                                        (comp.label, len(stack) - 1)))
-                stack = stack[1:-1]
-        if len(stack) < len(ps):
-            if new_comps is None:
-                new_comps = list(comps)
-            new_comps[ci] = Component(comp.kind, comp.label, tuple(stack),
-                                      comp.surgery)
-    if new_comps is None:
-        return d
-    signs = dict(d.crossings)
-    for cid in dropped:
-        del signs[cid]
-    return Diagram(d.mode, tuple(new_comps), signs)
-
-
-def _drop_at_first_slot(d: Diagram, kind: str, cids: tuple[int, ...],
-                        events: list[MoveEvent]) -> Diagram:
-    """The diagram without the crossings ``cids``, appending their event,
-    placed at the first crossing's first slot."""
-    ci, pos = d.slot_index()[cids[0]][0]
-    events.append(MoveEvent(kind, cids, (d.components[ci].label, pos)))
-    return _drop_crossings(d, set(cids))
-
-
 def simplify(d: Diagram) -> tuple[Diagram, tuple[MoveEvent, ...]]:
     """Greedy fixpoint of R1 > R2 > F, then of the reductions that welded
     commutes enable.  Deterministic; every step removes crossings, and no
     step applies a commute.
 
-    The events are those of restarting every scan after each move, made in
-    rounds.  Each round opens with one walk (``_round_walk``) that says
-    whether a kink is left, where the R2 scan's first bigon is, and whether
-    an over-over pair is left.  A kink drops every kink, a bigon cancels,
-    and either starts a new round.  With neither, the endpoint moves follow
-    one another (an endpoint move makes no two passages adjacent, so no
-    kink, bigon or over-over pair appears after one), then a
-    commute-enabled reduction, asked only when the walk saw an over-over
-    pair, after which a new round starts.
+    Each round takes one reduction, the one that restarting every scan
+    after each move would take.  It opens with one walk (``_round_walk``)
+    that returns the R1 scan's first kink, else the R2 scan's first bigon.
+    When the walk finds neither, the round takes the first endpoint move,
+    else a commute-enabled reduction, asked only when the walk saw an
+    over-over pair; either is placed at its first crossing's first slot.
     """
     events: list[MoveEvent] = []
     while True:
-        kink, bigon, over_pair = _round_walk(d)
-        if kink:
-            d = _drop_kinks(d, events)
-        elif bigon is not None:
-            ci, a, x, y = bigon
-            events.append(MoveEvent(R2, (x, y), (d.components[ci].label, a)))
-            d = _drop_crossings(d, {x, y})
+        found, over_pair = _round_walk(d)
+        if found is not None:
+            kind, ci, a, cids = found
         else:
-            while fmoves := find_f_moves(d):
-                d = _drop_at_first_slot(d, F_MOVE, (fmoves[0],), events)
-            found = _commuted_reduction(d) if over_pair else None
+            fmoves = find_f_moves(d)
+            found = ((F_MOVE, (fmoves[0],)) if fmoves
+                     else _commuted_reduction(d) if over_pair else None)
             if found is None:
                 return d, tuple(events)
-            d = _drop_at_first_slot(d, *found, events)
+            kind, cids = found
+            ci, a = d.slot_index()[cids[0]][0]
+        events.append(MoveEvent(kind, cids, (d.components[ci].label, a)))
+        d = _drop_crossings(d, set(cids))
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +566,8 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     """
     arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
     arc_labels = ["A", "B"] if d.mode == TWIN else ["K"]
+    if len(arcs) != len(arc_labels):
+        raise _arc_count_error(d, len(arcs))
     loops = [c for c in d.components if c.is_loop]
     n_loops = len(loops)
 

@@ -413,6 +413,13 @@ class TestFindFMoves:
         d = parse("twin { arc A: O1+ ; arc B: U1+ ; }")
         assert find_f_moves(d) == reference_f_moves(d) == [1]
 
+    @pytest.mark.parametrize("scan", [find_f_moves, simplify])
+    def test_a_lone_twin_arc_is_a_diagram_error(self, scan):
+        d = parse("twin { arc A: O1+ U1+ ; }", strict=False)
+        with pytest.raises(DiagramError, match=r"^a twin diagram must have "
+                                               r"two arcs \(found 1\)$"):
+            scan(d)
+
 
 def reference_over_runs(comp: Component) -> list[list[int]]:
     """Maximal over-runs as a list of position lists, in run order."""
@@ -874,62 +881,82 @@ def _reference_over_pair(d: Diagram) -> bool:
 
 
 class TestRoundWalk:
-    """simplify's round walk gives the verdicts of the reference scans."""
+    """simplify's round walk returns the R1 scan's first site, else the R2
+    scan's first site, and, where that is no kink, the reference over-over
+    verdict."""
 
-    #: (text, (kink, the R2 scan's first site, over-over pair))
+    #: (text, (reduction, over-over pair, or None where a kink stops the
+    #: walk before it reads every pair))
     EDGES = [
         # a one-passage loop
-        ("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }", (False, None, False)),
+        ("twin { arc A: O1+ ; arc B: ; loop T: U1+ ; }", (None, False)),
         # two-passage loops, whose pairs are (0, 1) and (1, 0): a kink, and
         # a bigon first met at the wrap pair (1, 0)
-        ("twin { arc A: ; arc B: ; loop T: O1+ U1+ ; }", (True, None, False)),
+        ("twin { arc A: ; arc B: ; loop T: O1+ U1+ ; }",
+         ((R1, 2, 0, (1,)), None)),
         ("twin { arc A: U3+ ; arc B: ; loop S: U1+ U2- ; "
-         "loop T: O1+ O2- O3+ ; }", (False, (2, 1, 2, 1), True)),
+         "loop T: O1+ O2- O3+ ; }", ((R2, 2, 1, (2, 1)), True)),
         # a kink and an over-over pair only across a loop's wrap
         ("twin { arc A: O2+ ; arc B: ; loop T: O1+ U2+ U1+ ; }",
-         (True, None, False)),
+         ((R1, 2, 2, (1,)), None)),
         ("twin { arc A: U1+ O2+ U3+ ; arc B: ; loop T: O1+ U2+ O3+ ; }",
-         (False, None, True)),
+         (None, True)),
         # an all-over loop
         ("twin { arc A: U1+ U2+ U3+ ; arc B: ; loop T: O1+ O2+ O3+ ; }",
-         (False, None, True)),
+         (None, True)),
         # empty arcs
-        ("twin { arc A: ; arc B: ; }", (False, None, False)),
-        ("twin { arc A: ; arc B: ; loop T: ; }", (False, None, False)),
+        ("twin { arc A: ; arc B: ; }", (None, False)),
+        ("twin { arc A: ; arc B: ; loop T: ; }", (None, False)),
         ("twin { arc A: ; arc B: ; loop S: O1+ U2- ; loop T: O2- U1+ ; }",
-         (False, None, False)),
+         (None, False)),
         # a bigon on arc A and a kink on a later loop: R1 comes first
         ("twin { arc A: O1+ O2- ; arc B: ; loop T: U2- U1+ ; "
-         "loop S: O3+ U3+ ; }", (True, (0, 0, 1, 2), True)),
+         "loop S: O3+ U3+ ; }", ((R1, 3, 0, (3,)), None)),
+        # kinks on two components: the earlier one wins
+        ("twin { arc A: ; arc B: O1+ U1+ ; loop T: O2- U2- ; }",
+         ((R1, 1, 0, (1,)), None)),
+        # a bigon on arc A, then a kink only at loop T's wrap pair (3, 0)
+        ("twin { arc A: O1+ O2- ; arc B: ; loop T: O3+ U2- U1+ U3+ ; }",
+         ((R1, 2, 3, (3,)), None)),
     ]
 
     @staticmethod
-    def _check(d: Diagram) -> tuple[bool, tuple | None, bool]:
-        verdicts = _round_walk(d)
-        assert verdicts == (next(_r1_pairs(d), None) is not None,
-                            next(_r2_pairs(d), None),
-                            _reference_over_pair(d)), serialize(d)
-        return verdicts
+    def _check(d: Diagram) -> tuple[tuple | None, bool]:
+        found, over_pair = _round_walk(d)
+        kink = next(_r1_pairs(d), None)
+        bigon = next(_r2_pairs(d), None)
+        if kink is not None:
+            expected = R1, kink[0], kink[1], (kink[2],)
+        elif bigon is not None:
+            expected = R2, bigon[0], bigon[1], bigon[2:]
+        else:
+            expected = None
+        assert found == expected, serialize(d)
+        if found is None or found[0] != R1:
+            assert over_pair == _reference_over_pair(d), serialize(d)
+        return found, over_pair
 
     @pytest.mark.parametrize("text, verdicts", EDGES)
     def test_edge_cases(self, text, verdicts):
-        assert self._check(parse(text)) == verdicts
+        found, over_pair = self._check(parse(text))
+        if found is not None and found[0] == R1:
+            over_pair = None
+        assert (found, over_pair) == verdicts
 
     def test_seeded_diagrams_and_their_reductions(self, rng):
         seen = set()
         for i in range(2000):
             d = _random_with_empty_loops(rng, i)
             while True:
-                kink, bigon, over_pair = self._check(d)
-                seen.add((kink, bigon is not None, over_pair))
+                found, over_pair = self._check(d)
+                seen.add(over_pair if found is None else found[0])
                 red = _reduce(d)
                 if red is None:
                     break
                 d = red[0]
-        # a bigon's pair or its partners' pair is over-over, so every other
-        # combination of verdicts is met
-        assert len(seen) == 6
-        assert not any(bigon and not over_pair for _, bigon, over_pair in seen)
+        # a reduction of each kind, and no reduction both with and without
+        # an over-over pair
+        assert seen == {R1, R2, True, False}
 
 
 class TestSplitAgainstReference:
@@ -1031,6 +1058,17 @@ class TestCanonicalize:
         a, b = canonicalize(d), canonicalize(rev)
         assert a.key == b.key
         assert a.sign == -b.sign
+
+    @pytest.mark.parametrize("text, message", [
+        ("twin { arc A: ; arc B: ; arc C: O1+ U1+ ; }",
+         r"^a twin diagram must have two arcs \(found 3\)$"),
+        ("knot { arc K: ; arc L: O1+ U2+ O2+ U1+ ; }",
+         r"^a two_knot diagram must have one arc \(found 2\)$"),
+    ])
+    def test_an_extra_arc_is_a_diagram_error(self, text, message):
+        # not the key of the diagram without it
+        with pytest.raises(DiagramError, match=message):
+            canonicalize(parse(text, strict=False))
 
     def test_relabeling_invariance(self):
         d1 = parse("twin { arc A: O7+ U9- ; arc B: ; loop T: U7+ O9- ; }")
