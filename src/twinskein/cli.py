@@ -8,6 +8,8 @@ the printed code), 2 I/O, parse or configuration errors.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import time
 
@@ -60,9 +62,20 @@ def _skein_config(args) -> SkeinConfig:
                        use_memo=not args.no_memo)
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any work, an output path in a missing directory or
+    one that is a directory itself; nothing is created or truncated."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_invariant(args) -> int:
     d = _load_diagram(args.path)
     cfg = _skein_config(args)
+    if args.trace_out:
+        _check_output_path(args.trace_out)
     t0 = time.perf_counter()
     result = evaluate(d, cfg)
     elapsed = (time.perf_counter() - t0) * 1000

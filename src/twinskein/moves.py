@@ -557,12 +557,19 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     The key text is built straight from the passages.  Arcs come first and
     are numbered the same way under every set of loop reversals, so their
     text differs between those sets only in the sign marks, and only the
-    sets with the least marks can win.  A key is a sequence of parts (a
-    passage token, a surgery text, ``;``) and no part is a prefix of
-    another, so keys compare part by part.  Each loop's text ends in its
-    only ``;``, so the key compares loop by loop: at each loop position
-    the search writes the text of every choice of unused loop and
-    rotation, and keeps every choice whose text ties for the least.
+    sets with the least marks can win; with no loops there is no set to
+    choose, and one numbering walk writes the key.  A set's marks are its
+    positive crossings: the diagram's, changed by the crossings each
+    reversed loop meets exactly once.
+
+    A key is a sequence of parts (a passage token, a surgery text, ``;``)
+    and no part is a prefix of another, so keys compare part by part.
+    Each loop's text ends in its only ``;``, so the key compares loop by
+    loop.  At each loop position every choice of beam entry, unused loop
+    and rotation is ranked by its first part, and only the choices tied
+    for the least first part have their whole text written; every choice
+    whose text ties for the least is kept.  An empty loop's first part is
+    ``;`` or a surgery text, both of which sort before any passage token.
     """
     arcs = sorted((c for c in d.components if c.is_arc), key=lambda c: c.label)
     arc_labels = ["A", "B"] if d.mode == TWIN else ["K"]
@@ -570,71 +577,91 @@ def canonicalize(d: Diagram) -> CanonicalForm:
         raise _arc_count_error(d, len(arcs))
     loops = [c for c in d.components if c.is_loop]
     n_loops = len(loops)
+    positive = {cid for cid, s in d.crossings.items() if s > 0}
 
+    masks: list[tuple[int, set[int]]] = [(0, positive)]  # (mask, positive)
+    if loops:
+        arc_cids = [p.crossing for comp in arcs for p in comp.passages]
+        # reversing a loop flips the crossings it meets exactly once
+        flips = [set(met_once(lp)) for lp in loops]
+        best_marks: str | None = None
+        for mask in range(1 << n_loops):
+            pos = positive
+            for li in range(n_loops):
+                if mask >> li & 1:
+                    pos = pos ^ flips[li]
+            arc_marks = "".join(["+" if cid in pos else "-"
+                                 for cid in arc_cids])
+            if best_marks is None or arc_marks < best_marks:
+                best_marks, masks = arc_marks, []
+            if arc_marks == best_marks:
+                masks.append((mask, pos))
+
+    pos = masks[0][1]
     arc_number: dict[int, int] = {}
-    for comp in arcs:
-        for p in comp.passages:
-            arc_number.setdefault(p.crossing, len(arc_number) + 1)
-    arc_cids = [p.crossing for comp in arcs for p in comp.passages]
-    # reversing a loop flips the crossings it meets exactly once
-    flips = [met_once(lp) for lp in loops]
-
-    best_marks: str | None = None
-    masks: list[tuple[int, dict[int, str]]] = []  # (mask, marks)
-    unreversed = {cid: "+" if s > 0 else "-" for cid, s in d.crossings.items()}
-    for mask in range(1 << n_loops):
-        marks = dict(unreversed) if mask else unreversed
-        for li in range(n_loops):
-            if mask >> li & 1:
-                for cid in flips[li]:
-                    marks[cid] = "-" if marks[cid] == "+" else "+"
-        arc_marks = "".join([marks[cid] for cid in arc_cids])
-        if best_marks is None or arc_marks < best_marks:
-            best_marks, masks = arc_marks, []
-        if arc_marks == best_marks:
-            masks.append((mask, marks))
-
-    marks = masks[0][1]
     parts = [TWIN if d.mode == TWIN else "knot", "{"]
     for label, comp in zip(arc_labels, arcs):
         parts.append("arc")
         parts.append(f"{label}:")
-        parts.extend(f"{p.role}{arc_number[p.crossing]}{marks[p.crossing]}"
-                     for p in comp.passages)
+        for p in comp.passages:
+            cid = p.crossing
+            n = arc_number.setdefault(cid, len(arc_number) + 1)
+            parts.append(f"{p.role}{n}{'+' if cid in pos else '-'}")
         if comp.surgery is not None:
             parts.append(surgery_text(comp.surgery))
         parts.append(";")
+    if not loops:
+        parts.append("}")
+        return CanonicalForm(" ".join(parts), 1)
 
     surgeries = [[surgery_text(lp.surgery)] if lp.surgery is not None else []
                  for lp in loops]
     # partial choices tied for the least text so far:
-    # (used loops, mask, marks, numbering)
-    beam = [((), mask, marks, arc_number) for mask, marks in masks]
+    # (used loops, mask, positive crossings, numbering)
+    beam = [((), mask, pos, arc_number) for mask, pos in masks]
     for level in range(1, n_loops + 1):
-        head = ["loop", f"T{level:03d}:"]
-        best_text: str | None = None
-        grown: list = []
-        for used, mask, marks, number in beam:
+        # every choice (entry, loop, its passages in order, rotation) whose
+        # first part ties for the least
+        least: str | None = None
+        tied: list = []
+        for entry in beam:
+            used, mask, pos, number = entry
             for li in range(n_loops):
                 if li in used:
                     continue
                 seq = loops[li].passages
                 if mask >> li & 1:
                     seq = seq[::-1]
-                for rot in range(max(1, len(seq))):
-                    new: dict[int, int] = {}
-                    toks = list(head)
-                    for p in seq[rot:] + seq[:rot]:
-                        cid = p.crossing
-                        n = number.get(cid) or new.setdefault(
-                            cid, len(number) + len(new) + 1)
-                        toks.append(f"{p.role}{n}{marks[cid]}")
-                    text = " ".join(toks + surgeries[li] + [";"])
-                    if best_text is None or text < best_text:
-                        best_text, grown = text, []
-                    if text == best_text:
-                        grown.append((used + (li,), mask, marks,
-                                      {**number, **new} if new else number))
+                if not seq:
+                    firsts = [(0, (surgeries[li] or [";"])[0])]
+                else:
+                    new_n = len(number) + 1
+                    firsts = [(rot, f"{p.role}{number.get(p.crossing, new_n)}"
+                                    f"{'+' if p.crossing in pos else '-'}")
+                              for rot, p in enumerate(seq)]
+                for rot, first in firsts:
+                    if least is None or first < least:
+                        least, tied = first, []
+                    if first == least:
+                        tied.append((entry, li, seq, rot))
+
+        head = ["loop", f"T{level:03d}:"]
+        best_text: str | None = None
+        grown: list = []
+        for (used, mask, pos, number), li, seq, rot in tied:
+            new: dict[int, int] = {}
+            toks = list(head)
+            for p in seq[rot:] + seq[:rot]:
+                cid = p.crossing
+                n = number.get(cid) or new.setdefault(
+                    cid, len(number) + len(new) + 1)
+                toks.append(f"{p.role}{n}{'+' if cid in pos else '-'}")
+            text = " ".join(toks + surgeries[li] + [";"])
+            if best_text is None or text < best_text:
+                best_text, grown = text, []
+            if text == best_text:
+                grown.append((used + (li,), mask, pos,
+                              {**number, **new} if new else number))
         parts.append(best_text)
         beam = grown
 

@@ -326,11 +326,13 @@ class _Engine:
         """(value, unresolved reason, trace node); the node is None unless
         ``emit_trace`` is on.  The canonical key is computed at every node of
         a trace, at every memo store, and at a memo lookup only when a stored
-        diagram shares the node's fingerprint.  The fingerprint is computed
-        at most once per node: at a lookup only once the memo holds an
-        entry, else at the store.  Without a trace, a run that stores
-        nothing, such as a chain that ends on the depth budget, computes no
-        fingerprint and no key."""
+        diagram shares the node's fingerprint.  The root (depth 0) stores
+        nothing: the memo lives only as long as one evaluation, which ends
+        with the root, so no lookup could read its entry.  The fingerprint
+        is computed at most once per node: at a lookup only once the memo
+        holds an entry, else at the store.  Without a trace, a run that
+        stores nothing, such as a chain that ends on the depth budget,
+        computes no fingerprint and no key."""
         fixed, _ = simplify(d)
         stats = self.stats
         stats.nodes_expanded += 1
@@ -379,7 +381,7 @@ class _Engine:
                                         children=children)
         contrib = cfg.multiplier * v2
         value = v1 + contrib if s > 0 else v1 - contrib
-        if cfg.use_memo:
+        if cfg.use_memo and depth:
             if cf is None:
                 cf = canonicalize(fixed)
             self.stored_prints.add(

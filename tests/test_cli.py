@@ -445,6 +445,27 @@ def test_an_unwritable_output_file_prints_nothing(capsys, tmp_path, argv,
     assert err.startswith("error: [Errno ")
 
 
+def test_trace_out_into_a_missing_directory_is_refused_before_evaluating(
+        capsys, tmp_path, monkeypatch):
+    import twinskein.cli as cli
+    monkeypatch.setattr(cli, "evaluate", lambda *a: pytest.fail("evaluated"))
+    target = tmp_path / "missing" / "t.json"
+    code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                         "--trace", "json", "--trace-out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+    assert len(err.splitlines()) == 1  # no stats: line
+    assert not target.parent.exists()
+    # an existing file is neither created nor truncated before the run
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    with pytest.raises(pytest.fail.Exception):
+        main(["invariant", f"{FIX}/tw_giller.twin", "--trace", "json",
+              "--trace-out", str(kept)])
+    assert kept.read_text() == "old\n"
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     src = str(Path(twinskein.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

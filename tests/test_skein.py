@@ -498,7 +498,8 @@ class TestLayoutFacts:
 
 class _UngatedEngine(_Engine):
     """The engine as it was before lookups were gated by fingerprint: a key
-    at every internal node whenever the memo or a trace is on."""
+    at every internal node whenever the memo or a trace is on.  Like the
+    engine, it stores nothing at the root, whose entry no lookup reads."""
 
     def run(self, d, depth):
         fixed, _ = simplify(d)
@@ -548,7 +549,7 @@ class _UngatedEngine(_Engine):
                                         children=children)
         contrib = cfg.multiplier * v2
         value = v1 + contrib if s > 0 else v1 - contrib
-        if cfg.use_memo:
+        if cfg.use_memo and depth:
             self.memo.setdefault(cf.key, value if cf.sign > 0 else -value)
         return value, None, self._node(cf, crossing=cid, crossing_sign=s,
                                        value=value, children=children)
@@ -745,6 +746,23 @@ class TestGatedMemo:
         assert keyed == []
 
 
+    def test_the_root_stores_nothing(self, monkeypatch):
+        # the spun trefoil resolves two internal nodes, the root and one
+        # below it; only the one below is keyed
+        import twinskein.skein as skein
+        from twinskein.constructions import artin_spin, table_knot
+        keyed = []
+
+        def counting(d):
+            keyed.append(d)
+            return canonicalize(d)
+
+        monkeypatch.setattr(skein, "canonicalize", counting)
+        r = evaluate(artin_spin(table_knot("3_1")))
+        assert r.value == SPUN_TREFOIL_VALUE
+        assert len(keyed) == 1
+
+
 class TestFingerprintOnlyOnceStored:
     @staticmethod
     def _counting(monkeypatch) -> list[Diagram]:
@@ -909,13 +927,13 @@ class TestProperties:
         # The memo stores the canonical representative's value; a diagram
         # reaching the same key through a loop reversal must come back
         # negated.  Drive the engine directly so the two evaluations share
-        # one memo table.
+        # one memo table, at depth 1, since the root stores nothing.
         from twinskein.skein import _Engine
         d = parse("twin { arc A: O1+ U3+ ; arc B: ; loop T: O3+ U1+ ; }")
         engine = _Engine(SkeinConfig(emit_trace=True))
-        v1, reason1, _ = engine.run(d, 0)
+        v1, reason1, _ = engine.run(d, 1)
         assert reason1 is None and v1 == SKEIN_MULTIPLIER
-        v2, reason2, node2 = engine.run(reverse_component(d, "T"), 0)
+        v2, reason2, node2 = engine.run(reverse_component(d, "T"), 1)
         assert reason2 is None and v2 == -SKEIN_MULTIPLIER
         assert node2.terminal == "memo" and node2.sign == -1
         assert engine.stats.memo_hits == 1
