@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 import time
 
@@ -63,12 +64,18 @@ def _skein_config(args) -> SkeinConfig:
 
 
 def _check_output_path(path: str) -> None:
-    """Refuse, before any work, an output path in a missing directory or
-    one that is a directory itself; nothing is created or truncated."""
+    """Refuse, before any work, an output path whose directory is missing or
+    not a directory, or that is a directory itself, with the error open()
+    would give; nothing is created or truncated."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+    except OSError as e:
+        raise type(e)(e.errno, e.strerror, path) from None
+    if not stat.S_ISDIR(parent.st_mode):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 path)
 
 
 def cmd_invariant(args) -> int:

@@ -610,9 +610,6 @@ def canonicalize(d: Diagram) -> CanonicalForm:
         if comp.surgery is not None:
             parts.append(surgery_text(comp.surgery))
         parts.append(";")
-    if not loops:
-        parts.append("}")
-        return CanonicalForm(" ".join(parts), 1)
 
     surgeries = [[surgery_text(lp.surgery)] if lp.surgery is not None else []
                  for lp in loops]

@@ -1,21 +1,19 @@
 """Canonical keys, pinned.
 
 Each row pins one ``canonicalize`` result: the sha256 of its key and its
-sign.  The diagrams are every node of a traced spun pass (every bundled
-table knot spun at every cut, each node's key and sign read from the
-trace, in preorder), then seeded random twins and 2-knots with zero to
-four loops, some of them empty and some with surgery labels.
+sign.  The diagrams are seeded random twins and 2-knots with zero to four
+loops, some of them empty and some with surgery labels.  The keys and signs
+of a spun pass's nodes are pinned by ``tests/engine_pins.tsv``, through the
+sha256 of each traced run's JSON export.
 """
 
 import hashlib
 import random
 from pathlib import Path
 
-from twinskein.constructions import artin_spin, table_knot, table_names
 from twinskein.diagram import (DEFAULT_SURGERY, LOOP, TWIN, TWO_KNOT,
                                Component, random_diagram)
 from twinskein.moves import canonicalize
-from twinskein.skein import SkeinConfig, evaluate
 
 #: One line per key: ``label<TAB>sha256 of the key<TAB>sign``.  Regenerate
 #: (only on purpose) with
@@ -43,20 +41,8 @@ def _random_case(rng: random.Random, i: int):
 
 
 def pinned_keys():
-    """(label, key, sign) triples: the spun pass's trace nodes, then 3,000
-    seeded random diagrams (every sixth a 2-knot)."""
-    for name in table_names():
-        code = table_knot(name)
-        for cut in range(max(1, len(code.passages))):
-            trace = evaluate(artin_spin(code, cut),
-                             SkeinConfig(emit_trace=True)).trace
-            stack = [trace]
-            n = 0
-            while stack:
-                node = stack.pop()
-                yield f"spun {name} cut {cut} node {n}", node.key, node.sign
-                n += 1
-                stack.extend(child for _, child in reversed(node.children))
+    """(label, key, sign) triples for 3,000 seeded random diagrams (every
+    sixth a 2-knot)."""
     rng = random.Random(29)
     for i in range(3000):
         cf = canonicalize(_random_case(rng, i))

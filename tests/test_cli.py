@@ -457,6 +457,16 @@ def test_trace_out_into_a_missing_directory_is_refused_before_evaluating(
     assert err.startswith("error: [Errno 2] ")
     assert len(err.splitlines()) == 1  # no stats: line
     assert not target.parent.exists()
+    # a regular file where the directory should be is not a directory
+    for target in (tmp_path / "kept.json" / "t.json",
+                   tmp_path / "kept.json" / "sub" / "t.json"):
+        (tmp_path / "kept.json").write_text("old\n")
+        code, out, err = run(capsys, "invariant", f"{FIX}/tw_giller.twin",
+                             "--trace", "json", "--trace-out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 20] ")
+        assert len(err.splitlines()) == 1
     # an existing file is neither created nor truncated before the run
     kept = tmp_path / "kept.json"
     kept.write_text("old\n")
