@@ -139,10 +139,12 @@ def _swap(d: Diagram, *swaps: tuple[int, int, int]) -> Diagram:
 # site of the R1 and R2 scans (its round walk meets their sites in scan
 # order and asks the R2 scan's own ``_bigon``) and of ``find_f_moves`` (it
 # never applies R3), ``find_*`` lists every site, and ``apply_*`` refuses a
-# site the scan does not yield.  Every scan, and the commute search's one
-# pass for kinks and bigons, reads the adjacent pairs from ``_pair_walk``
-# and a crossing's other passage from ``_partner``; ``simplify``'s round
-# walk is the only scan with its own loop, which is faster there.
+# site the scan does not yield.  Every scan reads the adjacent pairs from
+# ``_pair_walk`` and a crossing's other passage from ``_partner``.
+# ``simplify``'s round walk and the commute-enabled search
+# (``_commuted_reduction``) run on the engine's hot path and keep loops of
+# their own, which are faster there; the search's kinks and bigons read
+# the names it gives the over-runs, not ``_partner``.
 
 
 def _r1_pairs(d: Diagram) -> Iterator[tuple[int, int, int]]:
@@ -369,91 +371,90 @@ def find_f_moves(d: Diagram) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _over_runs(comp: Component) -> dict[int, list[int]]:
-    """Each over-passage position -> its maximal stretch of consecutive
-    over-passages, as positions in run order (wrapping for loops; an
-    all-over loop is one cyclic run).  All positions of one run share one
-    list."""
-    runs: dict[int, list[int]] = {}
-    run: list[int] = []
-    for pos, (_, role) in enumerate(comp.passages):
-        if role == OVER:
-            run.append(pos)
-            runs[pos] = run
-        elif run:
-            run = []
-    first = runs.get(0)
-    if comp.kind == LOOP and run and first is not None and first is not run:
-        # the last run wraps round into the first
-        run.extend(first)
-        for pos in first:
-            runs[pos] = run
-    return runs
+def _marker_reach(ps: tuple) -> tuple[int, int]:
+    """(lead, last): ps[:lead] can reach an arc's start marker and ps[last:]
+    its end one, as the end passage or through the over-run holding it."""
+    n = len(ps)
+    lead, last = 1, n - 1
+    while lead < n and ps[lead - 1].role == OVER == ps[lead].role:
+        lead += 1
+    while last > 0 and ps[last - 1].role == OVER == ps[last].role:
+        last -= 1
+    return lead, last
 
 
 def _commuted_reduction(d: Diagram) -> tuple[str, tuple[int, ...]] | None:
     """The first reduction that welded-commute moves enable, as (kind,
     crossings); None when there is none.  Asked only when no R1, R2 or F
     move is enabled as the diagram stands, and by ``simplify`` only when
-    some adjacent pair is over-over: with none, every over-run is a single
-    passage, so the searches below can find only a plain kink, bigon or
-    endpoint move, which the caller has already ruled out.
+    some adjacent pair is over-over: a one-passage over-run gives only a
+    plain R1, R2 or F move, which the caller has ruled out.
 
     Over-passages permute freely inside a maximal over-run and runs never
-    merge, so reachability is decided exactly: a kink needs its over-passage
-    in the run bordering its under-passage; a bigon needs an adjacent
-    under-pair of opposite signs whose over-partners share a run; an
-    endpoint slide needs both passages able to reach the same marker.  The
-    passages that border a run are the under-passages of the mixed pairs
-    whose over-passage lies in it, so one ``_pair_walk`` pass finds every
-    kink and bigon.  Walking an over-passage through its run and then
-    deleting it leaves the run's other passages in their order, so the
-    reduction is made by dropping its crossings where they stand: the
-    commutes themselves are never applied, and a loop's text may start
-    elsewhere than after them.  The kink and slide searches keep the least
-    crossing id among all they find, as a search in crossing order would;
-    the bigon search keeps the first in scan order.
+    merge, so reachability is decided exactly.  One pass over each
+    component's passages names each run of two or more passages by one of
+    its crossings and maps the crossing of each over-passage in it to that
+    name; a loop's run may wrap past its end, and an all-over loop is one
+    cyclic run.  A kink is an under-passage beside the run its crossing
+    maps to; a bigon, an adjacent under-under pair of opposite signs whose
+    crossings map to one run; a slide, an arc-arc crossing whose passages
+    reach one marker.  Walking an over-passage through its run and deleting
+    it keeps the others in order, so the reduction drops its crossings
+    where they stand.  The kink and slide searches keep the least crossing
+    id, as a search in crossing order would; the bigon search keeps the
+    first in scan order.
     """
-    comps = d.components
-    runs = [_over_runs(c) for c in comps]
-    index = d.slot_index()
-    signs = d.crossings
-    kinks, bigon = [], None
-    for ci, a, b, x, rx, y, ry in _pair_walk(d):
-        if rx != ry:
-            cid, pos, run = ((y, b, runs[ci][a]) if rx == OVER
-                             else (x, a, runs[ci][b]))
-            oc, op = _partner(index, cid, ci, pos)
-            if oc == ci and runs[ci].get(op) is run:
-                kinks.append(cid)
-        elif rx == UNDER and bigon is None and signs[x] != signs[y]:
-            fc, fp = _partner(index, x, ci, a)
-            sc, sp = _partner(index, y, ci, b)
-            run = runs[fc].get(fp)
-            if fc == sc and run is not None and runs[fc].get(sp) is run:
-                bigon = x, y
+    comps, signs = d.components, d.crossings
+    run_of: dict[int, int] = {}  # over-passage's crossing -> its run's name
+    flanks = []  # (under-passage's crossing, name of the run beside it)
+    unders = []  # adjacent under-under pairs of opposite signs, scan order
+    for comp in comps:
+        ps = comp.passages
+        if len(ps) < 2:
+            continue
+        # a loop's walk runs from after its first under-passage round to
+        # it, which keeps its under-under pairs in scan order; an arc's, or
+        # an all-over loop's, ends on a (None, None) closing its last run
+        for u, (x, rx) in enumerate(ps if comp.kind == LOOP else ()):
+            if rx == UNDER:
+                rest = ps[u + 1:] + ps[:u + 1]
+                break
+        else:
+            (x, rx), rest = ps[0], ps[1:] + ((None, None),)
+        run, before = ([x] if rx == OVER else None), None
+        for y, ry in rest:
+            if ry == OVER:
+                if rx == OVER:
+                    run.append(y)
+                else:
+                    run, before = [y], x
+            elif rx == OVER and len(run) > 1:
+                run_of.update(dict.fromkeys(run, run[0]))
+                flanks += (before, run[0]), (y, run[0])
+            elif rx == ry and signs[x] != signs[y]:
+                unders.append((x, y))
+            x, rx = y, ry
+    kinks = [cid for cid, name in flanks if run_of.get(cid) == name]
     if kinks:
         return R1, (min(kinks),)
-    if bigon is not None:
-        return R2, bigon
+    for x, y in unders:
+        name = run_of.get(x)
+        if name is not None and run_of.get(y) == name:
+            return R2, (x, y)
 
-    # endpoint slides: both passages of an arc-arc crossing reach one marker
     if d.mode == TWIN:
-        c1, c2 = (ci for ci, c in enumerate(comps) if c.kind == TWIN_ARC)
-        ends = ((0, 0), (len(comps[c1].passages) - 1,
-                         len(comps[c2].passages) - 1))
-
-        def reaches(ci: int, pos: int, target: int) -> bool:
-            run = runs[ci].get(pos)
-            return pos == target or (run is not None
-                                     and runs[ci].get(target) is run)
-
+        c1, c2 = [ci for ci, c in enumerate(comps) if c.kind == TWIN_ARC]
+        arc = comps[c1].passages
+        lead, last = _marker_reach(arc)
+        lead2, last2 = _marker_reach(comps[c2].passages)
+        index = d.slot_index()
         slides = []
-        for p1, (cid, _) in enumerate(comps[c1].passages):
-            ci, p2 = _partner(index, cid, c1, p1)
-            if ci == c2 and any(reaches(c1, p1, t1) and reaches(c2, p2, t2)
-                                for t1, t2 in ends):
-                slides.append(cid)
+        for p1, (cid, _) in enumerate(arc):
+            if p1 < lead or p1 >= last:
+                ci, p2 = _partner(index, cid, c1, p1)
+                if ci == c2 and (p1 < lead and p2 < lead2
+                                 or p1 >= last and p2 >= last2):
+                    slides.append(cid)
         if slides:
             return F_MOVE, (min(slides),)
     return None

@@ -31,7 +31,6 @@ from twinskein.moves import (
     MoveEvent,
     _commuted_reduction,
     _drop_crossings,
-    _over_runs,
     _pair_walk,
     _partner,
     _r1_pairs,
@@ -700,6 +699,28 @@ class TestCommuteSearchAgainstReference:
         assert enabled == {None, R1, R2, F_MOVE}
 
 
+def _over_runs(comp: Component) -> dict[int, list[int]]:
+    """Each over-passage position -> its maximal stretch of consecutive
+    over-passages, as positions in run order (wrapping for loops; an
+    all-over loop is one cyclic run).  All positions of one run share one
+    list."""
+    runs: dict[int, list[int]] = {}
+    run: list[int] = []
+    for pos, (_, role) in enumerate(comp.passages):
+        if role == OVER:
+            run.append(pos)
+            runs[pos] = run
+        elif run:
+            run = []
+    first = runs.get(0)
+    if comp.kind == LOOP and run and first is not None and first is not run:
+        # the last run wraps round into the first
+        run.extend(first)
+        for pos in first:
+            runs[pos] = run
+    return runs
+
+
 def reference_commuted_reduction(d: Diagram) -> tuple | None:
     """``_commuted_reduction`` as three searches: the kinks read from the
     passages that flank each over-run, with their own wrap arithmetic, then
@@ -762,20 +783,66 @@ def reference_commuted_reduction(d: Diagram) -> tuple | None:
 
 
 class TestCommutedReductionAgainstReference:
-    """The one-walk kink and bigon search gives the flank search's result
-    on every diagram simplify asks about."""
+    """The one-pass run search gives the flank search's result on every
+    diagram simplify asks about, the nodes of seeded evaluations included."""
 
     def test_seeded_diagrams_and_spun_cuts(self, rng, monkeypatch):
         diagrams = [_random_with_empty_loops(rng, i) for i in range(3000)]
+        # evaluating reaches the switch chains, where the search nearly
+        # always finds nothing
+        twins = [d for d in diagrams if d.mode == TWIN and d.loops()][:300]
         spun = [artin_spin(code, cut)
                 for code in map(table_knot, table_names())
                 for cut in range(max(1, len(code.passages)))]
-        assert len(spun) == 163
+        assert (len(twins), len(spun)) == (300, 163)
         asked = _asked(monkeypatch, lambda: [simplify(d) for d in diagrams]
-                       + [evaluate(d) for d in spun])
+                       + [evaluate(d) for d in twins + spun])
         found = [reference_commuted_reduction(d) for d in asked]
         assert [_commuted_reduction(d) for d in asked] == found
         assert {f and f[0] for f in found} == {None, R1, R2, F_MOVE}
+
+
+class TestCommutedReductionTable:
+    """Hand-written diagrams with no plain R1, R2 or F move and an
+    over-over pair, each pinned to its commute-enabled reduction."""
+
+    #: (text, the reduction)
+    CASES = [
+        # an all-over loop is one cyclic run with no flank; the bigon's
+        # over-passages sit two apart in it
+        ("twin { arc A: U1+ U2- ; arc B: U3+ U4+ ; "
+         "loop T: O1+ O3+ O2- O4+ ; }", (R2, (1, 2))),
+        # the run O1 O3 wraps the loop's end, and U3 then U1 flank it
+        ("twin { arc A: ; arc B: ; loop T: O3+ U1+ U3+ O1+ ; }", (R1, (1,))),
+        # runs hold arc A's first and its last passage: slides of 1 at the
+        # start marker and of 4 at the end one, then with 1 and 4 exchanged
+        ("twin { arc A: O2+ O1+ U3+ O4- O5- ; arc B: U1+ U5- U2+ O3+ U4- ; }",
+         (F_MOVE, (1,))),
+        ("twin { arc A: O2+ O4+ U3+ O1- O5- ; arc B: U4+ U5- U2+ O3+ U1- ; }",
+         (F_MOVE, (1,))),
+        # a bigon across loop T's wrap pair (U2, U1), with O3 between the
+        # over-passages of its run
+        ("twin { arc A: O5+ U3+ ; arc B: U4+ ; loop S: O1+ O3+ O2- U5+ ; "
+         "loop T: U1+ O4+ U2- ; }", (R2, (2, 1))),
+        # kinks of 5, then of 2, in scan order: the least id wins
+        ("twin { arc A: U5+ O6+ O5+ U2- O7+ O2- ; arc B: U6+ U7+ ; }",
+         (R1, (2,))),
+        # kinks of 5 and 6 and the bigon (1, 2): a kink wins
+        ("twin { arc A: U1+ U2- ; arc B: U5+ O6+ O5+ U6+ U3+ U4+ ; "
+         "loop S: O1+ O3+ O2- O4+ ; }", (R1, (5,))),
+        # the bigon (2, 3) and a slide of 1 at the start marker: the bigon
+        # wins
+        ("twin { arc A: O2+ O1+ O3- U4+ ; arc B: U1+ O4+ U6- ; "
+         "loop T: U2+ U3- O6- ; }", (R2, (2, 3))),
+    ]
+
+    @pytest.mark.parametrize("text, found", CASES)
+    def test_pinned_reductions(self, text, found):
+        d = parse(text)
+        assert not (find_r1_moves(d) or find_r2_moves(d) or find_f_moves(d))
+        assert _round_walk(d) == (None, True)
+        assert _commuted_reduction(d) == reference_commuted_reduction(d) \
+            == found
 
 
 def _reference_pair_walk(d: Diagram) -> list[tuple]:
