@@ -69,7 +69,11 @@ TIME_LIMITS = {
     "tw-unknot-pair": 1.0,
     "giller-two-knot": 1.0,
     "fintushel-stern-sweep": 30.0,
+    "spun-braid-sweep": 10.0,
 }
+
+#: Knots in the spun-braid sweep.
+SPUN_BRAIDS = 30
 
 
 class CaseResult(NamedTuple):
@@ -210,6 +214,41 @@ def check_fintushel_stern() -> CaseResult:
     if failures:
         detail += f"; MISMATCH: {', '.join(failures)}"
     return CaseResult("fintushel-stern-sweep", ok, detail, elapsed * 1000)
+
+
+def check_spun_braid_sweep() -> CaseResult:
+    """Seeded one-component closures of 3- and 4-strand braid words of 6 to
+    11 letters, each spun at every cut.  Braid closures are classical, so
+    the Alexander oracle is exact on them; unresolved cuts are data."""
+    t0 = time.perf_counter()
+    rng = random.Random(_SEED)
+    knots: list[ClassicalKnotCode] = []
+    while len(knots) < SPUN_BRAIDS:
+        strands = rng.randint(3, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(6, 11))]
+        link = braid_closure(word, strands)
+        if len(link.components) == 1:
+            knots.append(ClassicalKnotCode(link.components[0],
+                                           link.crossings))
+    cuts = unresolved = 0
+    failures = []
+    for i, k in enumerate(knots):
+        oracle = alexander_at_t_squared(k)
+        for cut in range(len(k.passages)):
+            cuts += 1
+            r = evaluate(artin_spin(k, cut))
+            if not r.resolved:
+                unresolved += 1
+            elif r.value != oracle:
+                failures.append(f"knot {i} cut {cut}")
+    elapsed = time.perf_counter() - t0
+    ok = not failures and elapsed <= TIME_LIMITS["spun-braid-sweep"]
+    detail = (f"{len(knots)} knots, {cuts} cuts; {unresolved} unresolved "
+              f"(reported, not failed)")
+    if failures:
+        detail += f"; MISMATCH: {', '.join(failures)}"
+    return CaseResult("spun-braid-sweep", ok, detail, elapsed * 1000)
 
 
 # -- randomized property suites (criterion 7) --------------------------------
@@ -413,6 +452,7 @@ def run_all() -> list[CaseResult]:
         check_standard_twin, check_split, check_tw_giller,
         check_tw_unknot_pair, check_giller_two_knot)]
     cases.append(check_fintushel_stern())
+    cases.append(check_spun_braid_sweep())
     cases.extend(check_properties())
     cases.append(check_conway_oracle())
     cases.append(check_negative_control())

@@ -1,5 +1,6 @@
 """Independent classical-knot oracle: the Conway polynomial by skein
-recursion on closed Gauss codes, and the symmetrized Alexander polynomial.
+recursion on closed Gauss codes, and the symmetrized Alexander polynomial
+of a knot as the determinant of its Alexander matrix.
 
 The recursion switches crossings toward a descending diagram (walking each
 component from its base point, every crossing should be met first at an
@@ -8,8 +9,13 @@ guaranteed: one component gives 1, more give 0.  A split link gives 0 at
 once (Conway 1970).  The recursion runs on components of signed crossing
 ids and does its own switch and smoothing by tuple slicing.  Its values are
 invariants of classical codes only: on a welded or virtual code they can
-depend on the base points.  This module never touches the twin engine; it
-exists to cross-check it.
+depend on the base points.  It takes exponential time, and it serves links.
+
+The Alexander polynomial of a knot comes from Fox's free differential
+calculus on the Wirtinger presentation (Fox 1953; Crowell and Fox 1963):
+one determinant, in polynomial time, with integer arithmetic only.  It
+refuses a code that is not classical.  This module never touches the twin
+engine; it exists to cross-check it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .diagram import (
     UNDER,
     ValueEq,
 )
-from .laurent import LaurentPoly, SKEIN_MULTIPLIER
+from .laurent import LaurentPoly
 
 #: The Conway skein variable z as a Laurent polynomial.
 Z = LaurentPoly({1: 1})
@@ -266,8 +272,77 @@ def is_classical(code: LinkCode | ClassicalKnotCode) -> bool:
     return faces == len(code.crossings) + 2 * pieces
 
 
+def _determinant(m: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, up to sign, by
+    fraction-free elimination (Bareiss 1968): each division is exact, so
+    no entry leaves the integers.  Overwrites ``m``."""
+    prev = 1
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            return 0
+        m[i], m[p] = m[p], m[i]  # a row swap only flips the sign
+        top = m[i]
+        pivot = top[i]
+        for row in m[i + 1:]:
+            a = row[i]
+            row[i + 1:] = [(pivot * x - a * y) // prev
+                           for x, y in zip(row[i + 1:], top[i + 1:])]
+        prev = pivot
+    return prev
+
+
 def alexander_at_t_squared(k: ClassicalKnotCode) -> LaurentPoly:
-    """The symmetrized Alexander polynomial at t^2, directly in t:
-    conway(k) evaluated at z = t - t^-1.  Like ``conway``, an invariant of
-    classical codes only."""
-    return conway(k).substitute(SKEIN_MULTIPLIER)
+    """The symmetrized Alexander polynomial at t^2, directly in t: the
+    polynomial that conway(k) gives at z = t - t^-1.
+
+    The Alexander matrix has one column per arc (the segment that ends at
+    an under-passage, so n crossings give n arcs) and one row per crossing:
+    the Fox derivatives of its Wirtinger relation at every generator -> t.
+    A positive crossing puts t on its incoming under-arc, 1 - t on its
+    over-arc and -1 on its outgoing under-arc; a negative one puts 1, t - 1
+    and -t there.  Entries on one arc add.  Deleting one row and one column
+    leaves a minor whose determinant is the Alexander polynomial up to a
+    unit +-t^k.
+
+    The determinant is taken once, by integer elimination at t = B = 4^n.
+    That is exact: the absolute coefficients of every row add up to at
+    most 4, so no coefficient of the minor's determinant exceeds 4^(n-1) <
+    B / 2, and its coefficients are the balanced base-B digits of its value
+    at B.  Centring the even span drops t^k, the sign is fixed by
+    Delta(1) = 1, and then t -> t^2.
+
+    A code that no planar diagram realizes is refused with DiagramError.
+    On such a code the minors can disagree, and where they agree the
+    polynomial need not be symmetric: ``giller_ex.knot`` gives
+    1 - 2t + 2t^2."""
+    if not is_classical(k):
+        raise DiagramError("the knot code is not classical (its surface has "
+                           "positive genus), so its Conway and Alexander "
+                           "values are not invariants")
+    n = len(k.crossings)
+    if not n:
+        return _ONE
+    base = 4 ** n
+    rows = {cid: [0] * n for cid in k.crossings}
+    arc = 0  # arc a ends at the a-th under-passage; arc n is arc 0
+    for cid, role in k.passages:
+        row = rows[cid]
+        positive = k.crossings[cid] > 0
+        if role == OVER:
+            row[arc % n] += 1 - base if positive else base - 1
+        else:
+            row[arc] += base if positive else 1
+            arc += 1
+            row[arc % n] -= 1 if positive else base
+    det = _determinant([row[:-1] for row in list(rows.values())[:-1]])
+    coeffs = []
+    while det:
+        digit = (det + base // 2) % base - base // 2
+        coeffs.append(digit)
+        det = (det - digit) // base
+    low = next(e for e, c in enumerate(coeffs) if c)
+    shift = low + len(coeffs) - 1  # twice the centre of the span
+    sign = 1 if sum(coeffs) > 0 else -1
+    return LaurentPoly({2 * e - shift: sign * c
+                        for e, c in enumerate(coeffs) if c})

@@ -14,7 +14,7 @@ import stat
 import sys
 import time
 
-from .alexander import alexander_at_t_squared, conway, is_classical
+from .alexander import alexander_at_t_squared, conway
 from .constructions import artin_spin, knot_code, table_knot, twin_closure
 from .diagram import (
     DiagramError,
@@ -107,12 +107,9 @@ def cmd_invariant(args) -> int:
 def cmd_conway(args) -> int:
     code = (table_knot(args.knot) if args.knot is not None
             else knot_code(_load_diagram(args.path)))
-    if not is_classical(code):
-        raise DiagramError("the knot code is not classical (its surface has "
-                           "positive genus), so its Conway value is not an "
-                           "invariant")
+    alexander = alexander_at_t_squared(code)  # refuses a non-classical code
     print(conway(code).render("z"))
-    print(alexander_at_t_squared(code).render("u"))
+    print(alexander.render("u"))
     return EXIT_OK
 
 

@@ -65,6 +65,15 @@ def test_criterion_6_fintushel_stern():
     assert case.elapsed_ms < 30_000
 
 
+# 6b. spin/oracle agreement on seeded braid closures at every cut, within
+#     its time limit; unresolved cuts are reported, not failed
+def test_spun_braid_sweep():
+    case = _get("spun-braid-sweep")
+    assert case.ok, case.detail
+    assert case.detail.startswith(f"{acceptance.SPUN_BRAIDS} knots, ")
+    assert case.elapsed_ms < acceptance.TIME_LIMITS["spun-braid-sweep"] * 1000
+
+
 # 7. randomized property suites, >= 200 cases each, exact equality
 @pytest.mark.parametrize("suite", [
     "prop-skein-identity",

@@ -18,7 +18,7 @@ from twinskein.acceptance import _SEED, _random_moves
 from twinskein.constructions import (ClassicalKnotCode, check_gauss_roles,
                                     fixture_text, knot_code, table_knot)
 from twinskein.diagram import OVER, UNDER, DiagramError, Passage, parse
-from twinskein.laurent import LaurentPoly
+from twinskein.laurent import LaurentPoly, SKEIN_MULTIPLIER
 from twinskein.moves import (
     R1,
     R2,
@@ -224,6 +224,90 @@ class TestIsClassical:
             assert classical == (len(values) == 1), passages
             dependent += not classical
         assert dependent == 301
+
+
+def reference_alexander(k: ClassicalKnotCode) -> LaurentPoly:
+    """The Alexander polynomial at t^2 by the Conway recursion."""
+    return conway(k).substitute(SKEIN_MULTIPLIER)
+
+
+def mirror(k: ClassicalKnotCode) -> ClassicalKnotCode:
+    """The planar reflection: every sign flipped, the roles kept."""
+    return ClassicalKnotCode(k.passages,
+                             {c: -s for c, s in k.crossings.items()})
+
+
+def reverse(k: ClassicalKnotCode) -> ClassicalKnotCode:
+    return ClassicalKnotCode(k.passages[::-1], dict(k.crossings))
+
+
+class TestAlexanderMatrix:
+    """The determinant of the Alexander matrix against the Conway
+    recursion, exactly: same sign, same centre."""
+
+    @pytest.mark.parametrize("name", sorted(NABLA))
+    def test_table_knot_its_mirror_and_its_reverse(self, name):
+        k = table_knot(name)
+        value = alexander_at_t_squared(k)
+        assert value == reference_alexander(k)
+        for other in (mirror(k), reverse(k)):
+            assert alexander_at_t_squared(other) == \
+                reference_alexander(other) == value
+
+    @pytest.mark.parametrize("n", range(1, 22, 2))
+    def test_torus_knots_t_2_n(self, n):
+        k = braid_closure_knot([1] * n)
+        assert alexander_at_t_squared(k) == reference_alexander(k)
+
+    @pytest.mark.parametrize("k", [4, 5, 7])
+    def test_turks_head_knots(self, k):
+        # the closure of (s1 s2^-1)^k is alternating, and its coefficients
+        # grow exponentially with its 2k crossings (155 at k = 7), so an
+        # integer base too small to hold them changes the value
+        code = braid_closure_knot([1, -2] * k)
+        assert alexander_at_t_squared(code) == reference_alexander(code)
+
+    @pytest.mark.parametrize("word", [[1, 1, 1, -2, -2, -2],
+                                      [1, 1, 1, 2, 2, 2]])
+    def test_composite_knots(self, word):
+        k = braid_closure_knot(word)
+        assert alexander_at_t_squared(k) == reference_alexander(k)
+
+    def test_seeded_braid_closures(self):
+        # one-component closures of words on 2 to 5 strands, 1 to 14 letters
+        rng = random.Random(31)
+        lengths = set()
+        checked = 0
+        while checked < 500:
+            strands = rng.randint(2, 5)
+            word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(1, 14))]
+            link = braid_closure(word, strands)
+            if len(link.components) > 1:
+                continue
+            k = ClassicalKnotCode(link.components[0], link.crossings)
+            assert alexander_at_t_squared(k) == reference_alexander(k), word
+            lengths.add(len(word))
+            checked += 1
+        assert lengths == set(range(1, 15))
+
+    def test_refuses_the_giller_example(self):
+        code = knot_code(parse(fixture_text("giller_ex.knot")))
+        with pytest.raises(DiagramError, match="not classical"):
+            alexander_at_t_squared(code)
+
+    def test_refuses_every_code_that_is_not_classical(self):
+        refused = 0
+        for passages, signs in random_gauss_codes(random.Random(400), 400):
+            code = ClassicalKnotCode(tuple(passages), signs)
+            if is_classical(code):
+                assert alexander_at_t_squared(code) == \
+                    reference_alexander(code)
+            else:
+                with pytest.raises(DiagramError, match="not classical"):
+                    alexander_at_t_squared(code)
+                refused += 1
+        assert refused == 301
 
 
 # ---------------------------------------------------------------------------
